@@ -4,84 +4,26 @@
 //! query independently segments itself (step 3), filters against the shared
 //! window index (step 4) and chains + verifies candidates (step 5). The
 //! [`QueryEngine`] exploits that by fanning a batch of queries out over a
-//! scoped worker pool ([`crate::parallel`]), while a shared, mutex-sharded
-//! [`VerificationMemo`] caches verified subsequence-pair distances — a Type
-//! III query's ε-sweep re-verifies the same pairs at every radius, and the
-//! memo collapses those to one distance computation each.
+//! scoped worker pool ([`crate::parallel`]); the workers share nothing but
+//! the read-only database.
 //!
 //! Determinism is a hard guarantee: each query is executed by exactly one
-//! worker with the same per-query code path as the sequential API, memo keys
-//! are namespaced per query, and index distance calls are attributed through
-//! a thread-local tally ([`ssr_distance::CallCounter::thread_total`]), so a
+//! worker with the same per-query code path as the sequential API, and index
+//! distance calls are attributed through a thread-local tally
+//! ([`ssr_distance::CallCounter::thread_total`]), so a
 //! batch produces **bit-identical results and statistics at every thread
 //! count** — `threads = 1` simply runs the fan-out loop inline. Exact
 //! duplicate queries (common under multi-user traffic) are detected up
 //! front, executed once and replicated into their original batch positions.
 
-use std::ops::Range;
 use std::time::Instant;
 
 use ssr_distance::SequenceDistance;
-use ssr_sequence::{Element, Sequence, SequenceId};
+use ssr_sequence::{Element, Sequence};
 
 use crate::database::SubsequenceDatabase;
-use crate::parallel::{parallel_map, resolve_threads, ShardedMemo};
+use crate::parallel::{parallel_map, resolve_threads};
 use crate::query::{ExecCtx, QueryOutcome, QueryStats, StageTimings, SubsequenceMatch};
-
-/// Memo key: the engine-assigned query key plus the candidate pair's
-/// provenance. Namespacing by query key keeps entries from distinct queries
-/// apart, so sharing the memo across workers can never mix results.
-type PairKey = (usize, usize, usize, usize, usize, usize);
-
-/// A mutex-sharded cache of verified subsequence-pair distances, shared by
-/// all workers of one batch.
-pub struct VerificationMemo {
-    inner: ShardedMemo<PairKey, f64>,
-}
-
-impl VerificationMemo {
-    /// Creates a memo with the given number of shards.
-    pub fn new(shards: usize) -> Self {
-        VerificationMemo {
-            inner: ShardedMemo::new(shards),
-        }
-    }
-
-    /// Number of cached verified pairs.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the memo holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    pub(crate) fn get(
-        &self,
-        query_key: usize,
-        sequence: SequenceId,
-        q: &Range<usize>,
-        x: &Range<usize>,
-    ) -> Option<f64> {
-        self.inner
-            .get(&(query_key, sequence.0, q.start, q.end, x.start, x.end))
-    }
-
-    pub(crate) fn insert(
-        &self,
-        query_key: usize,
-        sequence: SequenceId,
-        q: &Range<usize>,
-        x: &Range<usize>,
-        distance: f64,
-    ) {
-        self.inner.insert(
-            (query_key, sequence.0, q.start, q.end, x.start, x.end),
-            distance,
-        );
-    }
-}
 
 /// The result of a batch together with its execution accounting.
 #[derive(Clone, Debug)]
@@ -98,7 +40,8 @@ pub struct BatchOutcome<R> {
     pub threads: usize,
     /// Number of distinct queries actually executed after deduplication.
     pub unique_queries: usize,
-    /// Number of distinct verified pairs cached in the shared memo.
+    /// Always `0`: the engine caches nothing between verifications. Kept
+    /// only because `benchmark/src/layers.rs` reads it.
     pub memo_entries: usize,
 }
 
@@ -145,7 +88,6 @@ impl<R> BatchOutcome<R> {
 pub struct QueryEngine<'db, E: Element, D: SequenceDistance<E>> {
     db: &'db SubsequenceDatabase<E, D>,
     threads: usize,
-    memo_shards: usize,
     slow_query_ns: Option<u64>,
 }
 
@@ -155,7 +97,6 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
         QueryEngine {
             db,
             threads: 1,
-            memo_shards: 16,
             slow_query_ns: None,
         }
     }
@@ -165,12 +106,6 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
     /// bit-identical at every setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the number of mutex shards of the verification memo.
-    pub fn with_memo_shards(mut self, shards: usize) -> Self {
-        self.memo_shards = shards.max(1);
         self
     }
 
@@ -196,41 +131,38 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
     }
 
     /// **Type I batch** — range query over every query in the batch (see
-    /// [`SubsequenceDatabase::query_type1`]). No memo: a single Type I pass
-    /// already verifies each pair at most once, so caching could never hit.
+    /// [`SubsequenceDatabase::query_type1`]).
     pub fn batch_type1(
         &self,
         queries: &[Sequence<E>],
         epsilon: f64,
     ) -> BatchOutcome<Vec<SubsequenceMatch>> {
-        self.run(queries, false, |query, ctx| {
+        self.run(queries, |query, ctx| {
             self.db.query_type1_ctx(query, epsilon, ctx)
         })
     }
 
     /// **Type II batch** — longest similar subsequence per query (see
-    /// [`SubsequenceDatabase::query_type2`]). No memo, as for Type I.
+    /// [`SubsequenceDatabase::query_type2`]).
     pub fn batch_type2(
         &self,
         queries: &[Sequence<E>],
         epsilon: f64,
     ) -> BatchOutcome<Option<SubsequenceMatch>> {
-        self.run(queries, false, |query, ctx| {
+        self.run(queries, |query, ctx| {
             self.db.query_type2_ctx(query, epsilon, ctx)
         })
     }
 
     /// **Type III batch** — nearest pair per query (see
-    /// [`SubsequenceDatabase::query_type3`]). The shared memo makes the
-    /// ε-sweep cheap: pairs verified at one radius are reused at the next
-    /// instead of being recomputed.
+    /// [`SubsequenceDatabase::query_type3`]).
     pub fn batch_type3(
         &self,
         queries: &[Sequence<E>],
         epsilon_max: f64,
         epsilon_increment: f64,
     ) -> BatchOutcome<Option<SubsequenceMatch>> {
-        self.run(queries, true, |query, ctx| {
+        self.run(queries, |query, ctx| {
             self.db
                 .query_type3_ctx(query, epsilon_max, epsilon_increment, ctx)
         })
@@ -238,12 +170,11 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
 
     /// Shared batch driver: dedup exact-duplicate queries, fan the distinct
     /// ones out over the worker pool, merge timings and replicate outcomes
-    /// back into input order. `use_memo` attaches the shared verification
-    /// memo; only query types that revisit pairs (Type III) benefit.
-    fn run<R, F>(&self, queries: &[Sequence<E>], use_memo: bool, run_one: F) -> BatchOutcome<R>
+    /// back into input order.
+    fn run<R, F>(&self, queries: &[Sequence<E>], run_one: F) -> BatchOutcome<R>
     where
         R: Send + Clone,
-        F: Fn(&Sequence<E>, &mut ExecCtx<'_>) -> QueryOutcome<R> + Sync,
+        F: Fn(&Sequence<E>, &mut ExecCtx) -> QueryOutcome<R> + Sync,
     {
         let threads = self.threads();
         let started = Instant::now();
@@ -269,14 +200,9 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
             }
         }
 
-        let memo = VerificationMemo::new(self.memo_shards);
         let slow_query_ns = self.slow_query_ns;
         let executed = parallel_map(threads, &unique, |slot, &query_index| {
-            let mut ctx = if use_memo {
-                ExecCtx::with_memo(&memo, slot)
-            } else {
-                ExecCtx::detached()
-            };
+            let mut ctx = ExecCtx::default();
             if slow_query_ns.is_some() {
                 // Deterministic trace id: the query's dedup slot.
                 ctx = ctx.with_trace(slot as u64);
@@ -313,7 +239,7 @@ impl<'db, E: Element + Send + Sync, D: SequenceDistance<E>> QueryEngine<'db, E, 
             wall_ns: started.elapsed().as_nanos() as u64,
             threads,
             unique_queries: unique.len(),
-            memo_entries: memo.len(),
+            memo_entries: 0,
         }
     }
 }
@@ -399,17 +325,17 @@ mod tests {
     }
 
     #[test]
-    fn type3_sweep_reuses_memoised_verifications() {
+    fn batch_type3_equals_query_type3_at_every_thread_count() {
         let db = planted_db();
-        let q = vec![seq("YYYYACDEFGHIKLMNPQRSTVWYYYYY")];
-        let engine = QueryEngine::new(&db);
-        let batch = engine.batch_type3(&q, 10.0, 1.0);
-        let direct = db.query_type3(&q[0], 10.0, 1.0);
-        // Same answer as the memo-less sequential API...
-        assert_eq!(batch.outcomes[0].result, direct.result);
-        // ...for no more (and usually far fewer) verification calls.
-        assert!(batch.outcomes[0].stats.verification_calls <= direct.stats.verification_calls);
-        assert!(batch.memo_entries > 0);
+        let qs = queries();
+        for threads in [1, 2, 4] {
+            let batch = QueryEngine::new(&db)
+                .with_threads(threads)
+                .batch_type3(&qs, 10.0, 1.0);
+            for (query, outcome) in qs.iter().zip(&batch.outcomes) {
+                assert_eq!(*outcome, db.query_type3(query, 10.0, 1.0));
+            }
+        }
     }
 
     #[test]
@@ -433,6 +359,5 @@ mod tests {
         let batch = QueryEngine::new(&db).with_threads(4).batch_type1(&[], 1.0);
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.unique_queries, 0);
-        assert_eq!(batch.memo_entries, 0);
     }
 }

@@ -82,11 +82,9 @@ pub fn longest_similar_pair<E: Element, D: SequenceDistance<E>>(
     all_similar_pairs(query, dataset, distance, constraints, epsilon)
         .into_iter()
         .max_by(|a, b| {
-            a.query_len().cmp(&b.query_len()).then(
-                b.distance
-                    .partial_cmp(&a.distance)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            a.query_len()
+                .cmp(&b.query_len())
+                .then(b.distance.total_cmp(&a.distance))
         })
 }
 

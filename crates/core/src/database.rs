@@ -601,7 +601,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// Step 4: matches every query segment (step 3) against the indexed
     /// windows within radius `epsilon`.
     pub fn matching_segments(&self, query: &Sequence<E>, epsilon: f64) -> SegmentScan {
-        self.matching_segments_ctx(query, epsilon, &mut crate::query::ExecCtx::detached())
+        self.matching_segments_ctx(query, epsilon, &mut crate::query::ExecCtx::default())
     }
 
     /// [`Self::matching_segments`] with stage timing attribution. Index
@@ -612,7 +612,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         &self,
         query: &Sequence<E>,
         epsilon: f64,
-        ctx: &mut crate::query::ExecCtx<'_>,
+        ctx: &mut crate::query::ExecCtx,
     ) -> SegmentScan {
         let spec = self.config.segment_spec();
         let segment_started = Instant::now();

@@ -40,7 +40,7 @@ pub mod serve;
 pub mod storage;
 pub mod wire;
 
-pub use batch::{BatchOutcome, QueryEngine, VerificationMemo};
+pub use batch::{BatchOutcome, QueryEngine};
 pub use brute::{all_similar_pairs, longest_similar_pair, nearest_pair, BruteConstraints};
 pub use candidates::{build_candidates, Candidate, SegmentMatch};
 pub use client::{backoff_delay, ClientConfig, ClientError, WireClient};

@@ -6,8 +6,7 @@
 //! indices from a shared atomic cursor, and returns the results **in input
 //! order** — `threads = 1` degenerates to a plain sequential loop, so results
 //! are bit-identical at every thread count. [`ShardedMemo`] is a
-//! mutex-sharded concurrent map used to share verified distances between
-//! workers without a global lock.
+//! mutex-sharded concurrent map: the query server's result cache.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
@@ -76,8 +75,8 @@ where
 /// A concurrent map sharded over `shards` mutexes, so that workers hitting
 /// different keys rarely contend on the same lock.
 ///
-/// Values are cloned out on lookup; keep them small (the verification memo
-/// stores `f64` distances).
+/// Values are cloned out on lookup; keep them small (the result cache
+/// stores `Arc`s).
 ///
 /// Every shard also keeps hit/miss/eviction tallies on lock-free atomics
 /// (recorded only while [`ssr_obs::enabled`] — the default), so the query
@@ -149,24 +148,11 @@ impl<K: Eq + Hash, V: Clone> ShardedMemo<K, V> {
         value
     }
 
-    /// Inserts a value (last writer wins — callers only ever insert the same
-    /// deterministic value for a given key).
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .map
-            .lock()
-            .expect("memo shard poisoned")
-            .insert(key, value);
-    }
-
-    /// Inserts under a per-shard capacity: a full shard is emptied before
-    /// the new entry goes in. The eviction is deliberately coarse — one
+    /// Inserts under a per-shard capacity (last writer wins): a full shard is
+    /// emptied before the new entry goes in. The eviction is deliberately coarse — one
     /// `clear` instead of per-entry bookkeeping — which keeps the hot path
     /// at a single short critical section and bounds total entries at
     /// `shards × shard_capacity`. Replacing an existing key never evicts.
-    ///
-    /// Used by the query server's result cache; the batch engine's
-    /// verification memo lives for one batch and never needs a cap.
     pub fn insert_evicting(&self, key: K, value: V, shard_capacity: usize) {
         let shard = self.shard(&key);
         let mut map = shard.map.lock().expect("memo shard poisoned");
@@ -270,8 +256,8 @@ mod tests {
         let memo: ShardedMemo<(usize, usize), f64> = ShardedMemo::new(8);
         assert!(memo.is_empty());
         assert_eq!(memo.get(&(1, 2)), None);
-        memo.insert((1, 2), 0.5);
-        memo.insert((3, 4), 1.5);
+        memo.insert_evicting((1, 2), 0.5, 8);
+        memo.insert_evicting((3, 4), 1.5, 8);
         assert_eq!(memo.get(&(1, 2)), Some(0.5));
         assert_eq!(memo.get(&(3, 4)), Some(1.5));
         assert_eq!(memo.len(), 2);
@@ -285,7 +271,7 @@ mod tests {
                 let memo = &memo;
                 scope.spawn(move || {
                     for i in 0..100 {
-                        memo.insert(t * 1000 + i, i);
+                        memo.insert_evicting(t * 1000 + i, i, 400);
                     }
                 });
             }

@@ -6,8 +6,7 @@ use std::time::Instant;
 use ssr_distance::SequenceDistance;
 use ssr_sequence::{Element, Sequence, SequenceId};
 
-use crate::batch::VerificationMemo;
-use crate::candidates::build_candidates;
+use crate::candidates::{build_candidates, Candidate, SegmentMatch};
 use crate::database::SubsequenceDatabase;
 use crate::expand::enumerate_pairs;
 
@@ -145,49 +144,20 @@ impl StageTimings {
 }
 
 /// Per-query execution context threaded through the query internals: stage
-/// timing accumulators, an optional span trace, plus an optional handle into
-/// the batch engine's shared verification memo. The plain
-/// [`SubsequenceDatabase::query_type1`]-style entry points run with a
-/// detached context (no memo, timings discarded, no trace).
-pub(crate) struct ExecCtx<'a> {
+/// timing accumulators plus an optional span trace. The plain
+/// [`SubsequenceDatabase::query_type1`]-style entry points run with the
+/// default context (timings discarded, no trace).
+#[derive(Default)]
+pub(crate) struct ExecCtx {
     /// Per-stage wall-clock accumulated so far.
     pub timings: StageTimings,
-    /// Shared verification memo and the key of the query being executed.
-    pub memo: Option<(&'a VerificationMemo, usize)>,
-    /// Verification threshold override. A Type III ε-sweep with a shared memo
-    /// sets this to its `epsilon_max`: a verification outcome is memoised
-    /// across radii, so the threshold passed to the kernel must cover the
-    /// whole sweep — a pair beyond it can never match at any radius and is
-    /// safely recorded as `f64::INFINITY`. Without a memo each radius prunes
-    /// against its own `ε` (tighter bands, nothing cached).
-    pub verify_tau: Option<f64>,
     /// Span trace of this query, when the engine runs with tracing (the
     /// slow-query log). `None` on the hot default path — every recording
     /// site is a single `Option` check then.
     pub trace: Option<ssr_obs::TraceBuf>,
 }
 
-impl<'a> ExecCtx<'a> {
-    /// A context with no memo, for the plain query entry points.
-    pub fn detached() -> ExecCtx<'static> {
-        ExecCtx {
-            timings: StageTimings::default(),
-            memo: None,
-            verify_tau: None,
-            trace: None,
-        }
-    }
-
-    /// A context writing verified distances into `memo` under `query_key`.
-    pub fn with_memo(memo: &'a VerificationMemo, query_key: usize) -> ExecCtx<'a> {
-        ExecCtx {
-            timings: StageTimings::default(),
-            memo: Some((memo, query_key)),
-            verify_tau: None,
-            trace: None,
-        }
-    }
-
+impl ExecCtx {
     /// Attaches a span trace with the given (deterministic) trace id.
     pub fn with_trace(mut self, trace_id: u64) -> Self {
         self.trace = Some(ssr_obs::TraceBuf::new(trace_id));
@@ -219,29 +189,148 @@ impl<'a> ExecCtx<'a> {
             }
         }
     }
-
-    fn lookup(&self, sequence: SequenceId, q: &Range<usize>, x: &Range<usize>) -> Option<f64> {
-        let (memo, key) = self.memo?;
-        memo.get(key, sequence, q, x)
-    }
-
-    fn store(&self, sequence: SequenceId, q: &Range<usize>, x: &Range<usize>, distance: f64) {
-        if let Some((memo, key)) = self.memo {
-            memo.insert(key, sequence, q, x, distance);
-        }
-    }
 }
 
-/// Set of already-verified `(sequence, SQ range, SX range)` pairs: the
-/// expansion grids of overlapping candidates repeat pairs, and each should be
-/// verified (and charged against `max_verifications`) at most once.
-#[derive(Default)]
-struct PairSet(std::collections::HashSet<(SequenceId, usize, usize, usize, usize)>);
+/// Step 5b over one candidate list: verifies each expanded pair at most once
+/// against the radius `epsilon`, charging `max_verifications`, and accounts
+/// the stage's time, cells and prunes when finished. The expansion grids of
+/// overlapping candidates repeat pairs; `seen` makes sure each is verified
+/// (and charged) only once.
+struct Verifier<'a, E: Element, D: SequenceDistance<E>> {
+    db: &'a SubsequenceDatabase<E, D>,
+    query: &'a Sequence<E>,
+    /// Prefix gap sums of the query, when the distance can exploit them.
+    query_gap: Option<crate::database::GapPrefix>,
+    epsilon: f64,
+    seen: std::collections::HashSet<(SequenceId, usize, usize, usize, usize)>,
+    budget: u64,
+    calls: u64,
+    /// Set once a new pair arrived with no budget left to verify it.
+    exhausted: bool,
+    started: Instant,
+    cells_before: u64,
+    prunes_before: u64,
+}
 
-impl PairSet {
-    /// Returns `true` when the pair is new.
-    fn insert(&mut self, sequence: SequenceId, q: &Range<usize>, x: &Range<usize>) -> bool {
-        self.0.insert((sequence, q.start, q.end, x.start, x.end))
+impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
+    fn start(db: &'a SubsequenceDatabase<E, D>, query: &'a Sequence<E>, epsilon: f64) -> Self {
+        Verifier {
+            db,
+            query,
+            // Computed once per pass, reused across every candidate pair;
+            // the database-side tables were built at index time.
+            query_gap: db
+                .gap_prefixes
+                .as_ref()
+                .map(|_| crate::database::GapPrefix::build(query.elements())),
+            epsilon,
+            seen: Default::default(),
+            budget: db.config().max_verifications as u64,
+            calls: 0,
+            exhausted: false,
+            started: Instant::now(),
+            cells_before: ssr_distance::dp_cells_thread_total(),
+            prunes_before: ssr_distance::lower_bound_prunes_thread_total(),
+        }
+    }
+
+    /// The pair as a match when it is new and verifies within `epsilon`.
+    /// `None` for a repeated pair, a pair beyond the radius, or — with
+    /// [`Self::exhausted`] set — a new pair the budget no longer covers.
+    fn verify(
+        &mut self,
+        sequence: SequenceId,
+        q_range: Range<usize>,
+        x_range: Range<usize>,
+    ) -> Option<SubsequenceMatch> {
+        let key = (
+            sequence,
+            q_range.start,
+            q_range.end,
+            x_range.start,
+            x_range.end,
+        );
+        if !self.seen.insert(key) {
+            return None;
+        }
+        if self.budget == 0 {
+            self.exhausted = true;
+            return None;
+        }
+        self.budget -= 1;
+        self.calls += 1;
+        let distance = self.distance_within(sequence, &q_range, &x_range);
+        (distance <= self.epsilon).then_some(SubsequenceMatch {
+            sequence,
+            db_range: x_range,
+            query_range: q_range,
+            distance,
+        })
+    }
+
+    /// The distance of one candidate pair if it is within `epsilon`, else
+    /// `f64::INFINITY`. Runs the pruning cascade first: an exact length lower
+    /// bound, then an exact gap-sum lower bound from the precomputed prefix
+    /// tables (both `O(1)` per pair), then the threshold-aware kernel with
+    /// the threshold clamped to the measure's `max_distance` so short pairs
+    /// never get pointlessly wide bands.
+    fn distance_within(
+        &self,
+        sequence: SequenceId,
+        q_range: &Range<usize>,
+        x_range: &Range<usize>,
+    ) -> f64 {
+        let db = self.db;
+        let db_seq = db
+            .sequence(sequence)
+            .expect("candidate references a stored sequence");
+        let q_len = q_range.end - q_range.start;
+        let x_len = x_range.end - x_range.start;
+        // Clamp: distances never exceed max_distance(len), so a wider band
+        // cannot admit anything more (a prune against the clamped threshold
+        // implies a prune against the unclamped one, because every distance
+        // is ≤ the clamp).
+        let tau = match db.distance.max_distance(q_len.max(x_len)) {
+            Some(bound) => self.epsilon.min(bound),
+            None => self.epsilon,
+        };
+        if ssr_distance::pruning_enabled() {
+            let mut lower = db.distance.length_lower_bound(q_len, x_len);
+            if let (Some(qg), Some(prefixes)) = (&self.query_gap, &db.gap_prefixes) {
+                if let (Some(sum_q), Some(sum_x)) = (
+                    qg.range_sum(q_range),
+                    prefixes.get(sequence.0).and_then(|p| p.range_sum(x_range)),
+                ) {
+                    lower = lower.max(db.distance.gap_sum_lower_bound(sum_q, sum_x));
+                }
+            }
+            // `partial_cmp` spelled out so a NaN threshold prunes rather
+            // than silently accepting.
+            let within = matches!(
+                lower.partial_cmp(&tau),
+                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+            );
+            if !within {
+                ssr_distance::record_lower_bound_prune();
+                return f64::INFINITY;
+            }
+        }
+        let (sq, sx) = pair_slices(self.query, db_seq, q_range, x_range);
+        db.distance
+            .distance_within(sq, sx, tau)
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Adds the stage's work to `stats` and its wall-clock to `ctx`.
+    fn finish(self, stats: &mut QueryStats, ctx: &mut ExecCtx) {
+        stats.verification_calls += self.calls;
+        stats.budget_exhausted |= self.exhausted;
+        stats.dp_cells_evaluated += ssr_distance::dp_cells_thread_total() - self.cells_before;
+        stats.pruned_by_lower_bound +=
+            ssr_distance::lower_bound_prunes_thread_total() - self.prunes_before;
+        let verify_ns = self.started.elapsed().as_nanos() as u64;
+        ctx.timings.verify_ns += verify_ns;
+        ctx.span("verify", verify_ns);
     }
 }
 
@@ -258,26 +347,33 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         query: &Sequence<E>,
         epsilon: f64,
     ) -> QueryOutcome<Vec<SubsequenceMatch>> {
-        self.query_type1_ctx(query, epsilon, &mut ExecCtx::detached())
+        self.query_type1_ctx(query, epsilon, &mut ExecCtx::default())
     }
 
     pub(crate) fn query_type1_ctx(
         &self,
         query: &Sequence<E>,
         epsilon: f64,
-        ctx: &mut ExecCtx<'_>,
+        ctx: &mut ExecCtx,
     ) -> QueryOutcome<Vec<SubsequenceMatch>> {
-        let (candidates, mut stats) = self.prepare_candidates(query, epsilon, ctx);
-        let verify_started = Instant::now();
-        let cells_before = ssr_distance::dp_cells_thread_total();
-        let prunes_before = ssr_distance::lower_bound_prunes_thread_total();
-        let tau = ctx.verify_tau.unwrap_or(epsilon);
-        let query_gap = self.query_gap_prefix(query);
-        let mut results = Vec::new();
-        let mut budget = self.config().max_verifications as u64;
-        // Expansion grids of overlapping candidates repeat the same pairs;
-        // verify (and charge the budget for) each pair only once.
-        let mut seen = PairSet::default();
+        let (matches, mut stats) = self.scan(query, epsilon, ctx);
+        let result = self.range_pairs(query, &matches, epsilon, &mut stats, ctx);
+        QueryOutcome { result, stats }
+    }
+
+    /// Steps 5a–5b of a range query over an already computed step-4 match
+    /// list: chain, expand and verify at `epsilon`, longest first.
+    fn range_pairs(
+        &self,
+        query: &Sequence<E>,
+        matches: &[SegmentMatch],
+        epsilon: f64,
+        stats: &mut QueryStats,
+        ctx: &mut ExecCtx,
+    ) -> Vec<SubsequenceMatch> {
+        let candidates = self.chain(matches, stats, ctx);
+        let mut verifier = Verifier::start(self, query, epsilon);
+        let mut results: Vec<SubsequenceMatch> = Vec::new();
         'outer: for candidate in &candidates {
             let seq_len = match self.sequence(candidate.sequence) {
                 Some(s) => s.len(),
@@ -285,63 +381,25 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             };
             let pairs = enumerate_pairs(candidate, self.config(), query.len(), seq_len);
             for (q_range, x_range) in pairs {
-                if !seen.insert(candidate.sequence, &q_range, &x_range) {
-                    continue;
+                let found = verifier.verify(candidate.sequence, q_range, x_range);
+                if verifier.exhausted {
+                    break 'outer;
                 }
-                let d = match ctx.lookup(candidate.sequence, &q_range, &x_range) {
-                    Some(d) => d,
-                    None => {
-                        if budget == 0 {
-                            stats.budget_exhausted = true;
-                            break 'outer;
-                        }
-                        budget -= 1;
-                        stats.verification_calls += 1;
-                        let d = self.verify_within(
-                            query,
-                            query_gap.as_ref(),
-                            candidate.sequence,
-                            &q_range,
-                            &x_range,
-                            tau,
-                        );
-                        ctx.store(candidate.sequence, &q_range, &x_range, d);
-                        d
-                    }
-                };
-                if d <= epsilon {
-                    let m = SubsequenceMatch {
-                        sequence: candidate.sequence,
-                        db_range: x_range.clone(),
-                        query_range: q_range.clone(),
-                        distance: d,
-                    };
-                    if !results.contains(&m) {
-                        results.push(m);
-                        if results.len() >= self.config().max_results {
-                            break 'outer;
-                        }
+                if let Some(m) = found {
+                    results.push(m);
+                    if results.len() >= self.config().max_results {
+                        break 'outer;
                     }
                 }
             }
         }
-        results.sort_by(|a: &SubsequenceMatch, b: &SubsequenceMatch| {
-            b.query_len().cmp(&a.query_len()).then(
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+        results.sort_by(|a, b| {
+            b.query_len()
+                .cmp(&a.query_len())
+                .then(a.distance.total_cmp(&b.distance))
         });
-        stats.dp_cells_evaluated += ssr_distance::dp_cells_thread_total() - cells_before;
-        stats.pruned_by_lower_bound +=
-            ssr_distance::lower_bound_prunes_thread_total() - prunes_before;
-        let verify_ns = verify_started.elapsed().as_nanos() as u64;
-        ctx.timings.verify_ns += verify_ns;
-        ctx.span("verify", verify_ns);
-        QueryOutcome {
-            result: results,
-            stats,
-        }
+        verifier.finish(stats, ctx);
+        results
     }
 
     /// **Type II — longest similar subsequence.** Maximises `|SQ|` subject to
@@ -355,25 +413,20 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         query: &Sequence<E>,
         epsilon: f64,
     ) -> QueryOutcome<Option<SubsequenceMatch>> {
-        self.query_type2_ctx(query, epsilon, &mut ExecCtx::detached())
+        self.query_type2_ctx(query, epsilon, &mut ExecCtx::default())
     }
 
     pub(crate) fn query_type2_ctx(
         &self,
         query: &Sequence<E>,
         epsilon: f64,
-        ctx: &mut ExecCtx<'_>,
+        ctx: &mut ExecCtx,
     ) -> QueryOutcome<Option<SubsequenceMatch>> {
-        let (candidates, mut stats) = self.prepare_candidates(query, epsilon, ctx);
-        let verify_started = Instant::now();
-        let cells_before = ssr_distance::dp_cells_thread_total();
-        let prunes_before = ssr_distance::lower_bound_prunes_thread_total();
-        let tau = ctx.verify_tau.unwrap_or(epsilon);
-        let query_gap = self.query_gap_prefix(query);
+        let (matches, mut stats) = self.scan(query, epsilon, ctx);
+        let candidates = self.chain(&matches, &mut stats, ctx);
+        let mut verifier = Verifier::start(self, query, epsilon);
         let mut best: Option<SubsequenceMatch> = None;
-        let mut budget = self.config().max_verifications as u64;
-        let mut seen = PairSet::default();
-        for candidate in &candidates {
+        'candidates: for candidate in &candidates {
             // A chain of k windows can support matches of length at most
             // (k + 2) * lambda / 2; skip candidates that cannot beat the best.
             if let Some(ref b) = best {
@@ -396,49 +449,15 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                         break;
                     }
                 }
-                if !seen.insert(candidate.sequence, &q_range, &x_range) {
-                    continue;
+                if let Some(m) = verifier.verify(candidate.sequence, q_range, x_range) {
+                    best = Some(m);
                 }
-                let d = match ctx.lookup(candidate.sequence, &q_range, &x_range) {
-                    Some(d) => d,
-                    None => {
-                        if budget == 0 {
-                            stats.budget_exhausted = true;
-                            break;
-                        }
-                        budget -= 1;
-                        stats.verification_calls += 1;
-                        let d = self.verify_within(
-                            query,
-                            query_gap.as_ref(),
-                            candidate.sequence,
-                            &q_range,
-                            &x_range,
-                            tau,
-                        );
-                        ctx.store(candidate.sequence, &q_range, &x_range, d);
-                        d
-                    }
-                };
-                if d <= epsilon {
-                    best = Some(SubsequenceMatch {
-                        sequence: candidate.sequence,
-                        db_range: x_range,
-                        query_range: q_range,
-                        distance: d,
-                    });
+                if verifier.exhausted {
+                    break 'candidates;
                 }
-            }
-            if stats.budget_exhausted {
-                break;
             }
         }
-        stats.dp_cells_evaluated += ssr_distance::dp_cells_thread_total() - cells_before;
-        stats.pruned_by_lower_bound +=
-            ssr_distance::lower_bound_prunes_thread_total() - prunes_before;
-        let verify_ns = verify_started.elapsed().as_nanos() as u64;
-        ctx.timings.verify_ns += verify_ns;
-        ctx.span("verify", verify_ns);
+        verifier.finish(&mut stats, ctx);
         QueryOutcome {
             result: best,
             stats,
@@ -448,10 +467,18 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// **Type III — nearest pair.** Minimises `δ(SQ, SX)` subject to
     /// `|SX| ≥ λ`, `|SQ| ≥ λ` and `||SX| − |SQ|| ≤ λ0`.
     ///
-    /// Implemented as the paper describes: a binary search over `ε` finds the
-    /// smallest radius at which step 4 produces any matching segment pair,
-    /// then verification is attempted at that radius, growing `ε` by
-    /// `epsilon_increment` until a pair verifies.
+    /// Step 4 runs **once**, at `epsilon_max`. Range search is monotone in
+    /// the radius and the scan carries every match's exact distance, so the
+    /// matches at any smaller `ε` are the scan filtered to `distance ≤ ε` and
+    /// the smallest radius with a non-empty shortlist is the smallest match
+    /// distance. The sweep starts there and grows `ε` by `epsilon_increment`
+    /// until a pair verifies, each round chaining and verifying at its own
+    /// `ε`. (The paper binary-searches `ε` over a black-box index and
+    /// re-probes at every radius; reading the radius off one scan gives the
+    /// same sweep without the extra probes.)
+    ///
+    /// # Panics
+    /// When `epsilon_increment` is not positive.
     pub fn query_type3(
         &self,
         query: &Sequence<E>,
@@ -462,7 +489,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             query,
             epsilon_max,
             epsilon_increment,
-            &mut ExecCtx::detached(),
+            &mut ExecCtx::default(),
         )
     }
 
@@ -471,199 +498,86 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         query: &Sequence<E>,
         epsilon_max: f64,
         epsilon_increment: f64,
-        ctx: &mut ExecCtx<'_>,
+        ctx: &mut ExecCtx,
     ) -> QueryOutcome<Option<SubsequenceMatch>> {
         assert!(
             epsilon_increment > 0.0,
             "epsilon_increment must be positive"
         );
-        let mut total_stats = QueryStats::default();
-        // With a shared memo, verification outcomes survive from one radius
-        // to the next, so the kernels must be thresholded at the *sweep's*
-        // maximum — a pair beyond `epsilon_max` can never match at any radius
-        // of this sweep and is memoised as `f64::INFINITY`. Without a memo
-        // every radius re-verifies from scratch and prunes at its own `ε`.
-        if ctx.memo.is_some() {
-            ctx.verify_tau = Some(epsilon_max);
-        }
-
-        // Binary search for the smallest epsilon with a non-empty shortlist.
-        let mut lo = 0.0f64;
-        let mut hi = epsilon_max;
-        let scan_at_max = self.matching_segments_ctx(query, epsilon_max, ctx);
-        total_stats.index_distance_calls += scan_at_max.distance_calls;
-        total_stats.dp_cells_evaluated += scan_at_max.dp_cells;
-        total_stats.pruned_by_lower_bound += scan_at_max.pruned_by_lower_bound;
-        if scan_at_max.is_empty() {
+        let (matches, mut stats) = self.scan(query, epsilon_max, ctx);
+        let Some(nearest) = matches.iter().map(|m| m.distance).min_by(f64::total_cmp) else {
             return QueryOutcome {
                 result: None,
-                stats: total_stats,
+                stats,
             };
-        }
-        for _ in 0..20 {
-            if hi - lo <= epsilon_increment / 2.0 {
-                break;
-            }
-            let mid = (lo + hi) / 2.0;
-            let scan = self.matching_segments_ctx(query, mid, ctx);
-            total_stats.index_distance_calls += scan.distance_calls;
-            total_stats.dp_cells_evaluated += scan.dp_cells;
-            total_stats.pruned_by_lower_bound += scan.pruned_by_lower_bound;
-            if scan.is_empty() {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-
-        // Grow epsilon from the smallest feasible radius until verification
-        // succeeds; return the best (smallest-distance) verified pair found at
-        // the first successful radius. Under a batch engine the shared memo
-        // carries verified distances from one radius to the next, so each
-        // revisited pair is verified only once across the whole sweep.
-        let mut epsilon = hi;
+        };
+        // The funnel statistics (matches, windows, candidates) report the
+        // last round; calls, cells and prunes accumulate over all of them.
+        let mut epsilon = nearest.min(epsilon_max);
         loop {
             let round = ctx.span_begin("epsilon_round");
-            let outcome = self.query_type1_ctx(query, epsilon, ctx);
+            let within: Vec<SegmentMatch> = matches
+                .iter()
+                .filter(|m| m.distance <= epsilon)
+                .copied()
+                .collect();
+            let pairs = self.range_pairs(query, &within, epsilon, &mut stats, ctx);
             ctx.span_end(round);
-            total_stats.segments = outcome.stats.segments;
-            total_stats.index_distance_calls += outcome.stats.index_distance_calls;
-            total_stats.segment_matches = outcome.stats.segment_matches;
-            total_stats.unique_windows = outcome.stats.unique_windows;
-            total_stats.consecutive_windows = outcome.stats.consecutive_windows;
-            total_stats.candidates = outcome.stats.candidates;
-            total_stats.verification_calls += outcome.stats.verification_calls;
-            total_stats.dp_cells_evaluated += outcome.stats.dp_cells_evaluated;
-            total_stats.pruned_by_lower_bound += outcome.stats.pruned_by_lower_bound;
-            total_stats.budget_exhausted |= outcome.stats.budget_exhausted;
-            if let Some(best) = outcome.result.into_iter().min_by(|a, b| {
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            }) {
-                return QueryOutcome {
-                    result: Some(best),
-                    stats: total_stats,
-                };
-            }
-            if epsilon >= epsilon_max {
-                return QueryOutcome {
-                    result: None,
-                    stats: total_stats,
-                };
+            let result = pairs
+                .into_iter()
+                .min_by(|a, b| a.distance.total_cmp(&b.distance));
+            if result.is_some() || epsilon >= epsilon_max {
+                return QueryOutcome { result, stats };
             }
             epsilon = (epsilon + epsilon_increment).min(epsilon_max);
         }
     }
 
-    /// Steps 3–5a shared by all query types: extract segments, run range
-    /// queries, assemble chained candidates and fill in the statistics.
-    fn prepare_candidates(
+    /// Steps 3–4 shared by all query types: extract segments, run the range
+    /// queries at `epsilon` and open the statistics with the probe's work.
+    fn scan(
         &self,
         query: &Sequence<E>,
         epsilon: f64,
-        ctx: &mut ExecCtx<'_>,
-    ) -> (Vec<crate::candidates::Candidate>, QueryStats) {
-        let spec = self.config().segment_spec();
+        ctx: &mut ExecCtx,
+    ) -> (Vec<SegmentMatch>, QueryStats) {
         let scan = self.matching_segments_ctx(query, epsilon, ctx);
+        let stats = QueryStats {
+            segments: ssr_sequence::segment_count(query.len(), self.config().segment_spec()),
+            index_distance_calls: scan.distance_calls,
+            dp_cells_evaluated: scan.dp_cells,
+            pruned_by_lower_bound: scan.pruned_by_lower_bound,
+            ..QueryStats::default()
+        };
+        (scan.matches, stats)
+    }
+
+    /// Step 5a shared by all query types: assemble chained candidates from a
+    /// step-4 match list and record the funnel it produced.
+    fn chain(
+        &self,
+        matches: &[SegmentMatch],
+        stats: &mut QueryStats,
+        ctx: &mut ExecCtx,
+    ) -> Vec<Candidate> {
         let chain_started = Instant::now();
-        let index_calls = scan.distance_calls;
-        let matches = scan.matches;
         let mut unique_windows: Vec<usize> = matches.iter().map(|m| m.window.0).collect();
         unique_windows.sort_unstable();
         unique_windows.dedup();
-        let candidates = build_candidates(
-            &matches,
-            self.config().window_len(),
-            self.config().max_shift,
-        );
+        let candidates =
+            build_candidates(matches, self.config().window_len(), self.config().max_shift);
         let chain_ns = chain_started.elapsed().as_nanos() as u64;
         ctx.timings.chain_ns += chain_ns;
         ctx.span("chain", chain_ns);
-        let consecutive_windows: usize = candidates
+        stats.segment_matches = matches.len();
+        stats.unique_windows = unique_windows.len();
+        stats.consecutive_windows = candidates
             .iter()
             .filter(|c| c.chain_len >= 2)
             .map(|c| c.chain_len)
             .sum();
-        let stats = QueryStats {
-            segments: ssr_sequence::segment_count(query.len(), spec),
-            index_distance_calls: index_calls,
-            segment_matches: matches.len(),
-            unique_windows: unique_windows.len(),
-            consecutive_windows,
-            candidates: candidates.len(),
-            verification_calls: 0,
-            dp_cells_evaluated: scan.dp_cells,
-            pruned_by_lower_bound: scan.pruned_by_lower_bound,
-            budget_exhausted: false,
-        };
-        (candidates, stats)
-    }
-
-    /// Computes the verified distance of one candidate subsequence pair,
-    /// running the pruning cascade first: an exact length lower bound, then
-    /// an exact gap-sum lower bound from the precomputed prefix tables (both
-    /// `O(1)` per pair), then the threshold-aware kernel with `tau` clamped
-    /// to the measure's `max_distance` so short pairs never get pointlessly
-    /// wide bands. Returns `f64::INFINITY` for any pair whose distance
-    /// exceeds `tau` — by construction such a pair can never be reported as
-    /// a match, so the substitution is invisible in results.
-    fn verify_within(
-        &self,
-        query: &Sequence<E>,
-        query_gap: Option<&crate::database::GapPrefix>,
-        sequence: SequenceId,
-        q_range: &Range<usize>,
-        x_range: &Range<usize>,
-        tau: f64,
-    ) -> f64 {
-        let db_seq = self
-            .sequence(sequence)
-            .expect("candidate references a stored sequence");
-        let q_len = q_range.end - q_range.start;
-        let x_len = x_range.end - x_range.start;
-        // Clamp: distances never exceed max_distance(len), so a wider band
-        // cannot admit anything more (exactness argument in ISSUE/docs: a
-        // prune against the clamped threshold implies a prune against the
-        // unclamped one, because every distance is ≤ the clamp).
-        let tau = match self.distance.max_distance(q_len.max(x_len)) {
-            Some(bound) => tau.min(bound),
-            None => tau,
-        };
-        if ssr_distance::pruning_enabled() {
-            let mut lower = self.distance.length_lower_bound(q_len, x_len);
-            if let (Some(qg), Some(prefixes)) = (query_gap, self.gap_prefixes.as_ref()) {
-                if let (Some(sum_q), Some(sum_x)) = (
-                    qg.range_sum(q_range),
-                    prefixes.get(sequence.0).and_then(|p| p.range_sum(x_range)),
-                ) {
-                    lower = lower.max(self.distance.gap_sum_lower_bound(sum_q, sum_x));
-                }
-            }
-            // `partial_cmp` spelled out so a NaN threshold prunes rather
-            // than silently accepting.
-            let within = matches!(
-                lower.partial_cmp(&tau),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            );
-            if !within {
-                ssr_distance::record_lower_bound_prune();
-                return f64::INFINITY;
-            }
-        }
-        let (sq, sx) = pair_slices(query, db_seq, q_range, x_range);
-        self.distance()
-            .distance_within(sq, sx, tau)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// Prefix gap sums of the query, when the distance can exploit them
-    /// (computed once per query execution, reused across every candidate
-    /// pair — the database-side counterpart is built once at index time).
-    fn query_gap_prefix(&self, query: &Sequence<E>) -> Option<crate::database::GapPrefix> {
-        self.gap_prefixes
-            .as_ref()
-            .map(|_| crate::database::GapPrefix::build(query.elements()))
+        stats.candidates = candidates.len();
+        candidates
     }
 }
 

@@ -682,18 +682,48 @@ where
             Request::Query { .. } if shared.draining.load(Ordering::SeqCst) => {
                 Response::Error(WireError::Draining)
             }
-            Request::Query { spec, queries } => {
-                let started = Instant::now();
-                let response = answer_query(shared, spec, queries);
-                shared
-                    .request_duration
-                    .observe(started.elapsed().as_micros() as u64);
-                response
-            }
+            Request::Query { spec, queries } => match check_spec(&spec) {
+                Err(refusal) => Response::Error(refusal),
+                Ok(()) => {
+                    let started = Instant::now();
+                    let response = answer_query(shared, spec, queries);
+                    shared
+                        .request_duration
+                        .observe(started.elapsed().as_micros() as u64);
+                    response
+                }
+            },
         };
         if respond(&mut stream, &response, version).is_err() {
             return;
         }
+    }
+}
+
+/// Longest Type III sweep a request may ask for, in `ε` rounds.
+const MAX_SWEEP_ROUNDS: f64 = 1024.0;
+
+/// Refuses, before admission, a spec no worker should be handed: a radius
+/// that is negative or not finite, or a Type III sweep whose step is not
+/// positive (the engine asserts on it) or that would run for more than
+/// [`MAX_SWEEP_ROUNDS`] rounds.
+fn check_spec(spec: &QuerySpec) -> Result<(), WireError> {
+    let radius_ok = |r: f64| r.is_finite() && r >= 0.0;
+    let ok = match *spec {
+        QuerySpec::Type1 { epsilon } | QuerySpec::Type2 { epsilon } => radius_ok(epsilon),
+        QuerySpec::Type3 {
+            epsilon_max,
+            epsilon_increment,
+        } => {
+            radius_ok(epsilon_max)
+                && radius_ok(epsilon_increment)
+                && epsilon_max / epsilon_increment <= MAX_SWEEP_ROUNDS
+        }
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(WireError::Malformed(format!("unusable radii in {spec:?}")))
     }
 }
 

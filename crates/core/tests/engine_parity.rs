@@ -83,5 +83,9 @@ proptest! {
                 prop_assert_eq!(&a.stats, &b.stats);
             }
         }
+        // One Type III code path: the engine answers what the plain API does.
+        for (query, outcome) in queries.iter().zip(&seq3.outcomes) {
+            prop_assert_eq!(&database.query_type3(query, 4.0, 1.0), outcome);
+        }
     }
 }

@@ -78,17 +78,12 @@ fn pruning_is_pure_performance() {
         let qs = queries();
         let engine = QueryEngine::new(&db);
 
-        // Type III's ε-sweep re-runs Type I at several radii, so comparing
-        // it unpruned on every backend would dominate the whole test suite;
-        // the default backend exercises the sweep (incl. the memo-backed
-        // `verify_tau` path), Type I covers the per-backend tau threading.
-        let sweep = backend == IndexBackend::ReferenceNet;
         set_pruning_enabled(true);
         let pruned1 = engine.batch_type1(&qs, 5.0);
-        let pruned3 = sweep.then(|| engine.batch_type3(&qs, 8.0, 2.0));
+        let pruned3 = engine.batch_type3(&qs, 8.0, 2.0);
         set_pruning_enabled(false);
         let full1 = engine.batch_type1(&qs, 5.0);
-        let full3 = sweep.then(|| engine.batch_type3(&qs, 8.0, 2.0));
+        let full3 = engine.batch_type3(&qs, 8.0, 2.0);
         set_pruning_enabled(true);
 
         for (a, b) in pruned1.outcomes.iter().zip(&full1.outcomes) {
@@ -99,27 +94,21 @@ fn pruning_is_pure_performance() {
                 "{backend}: Type I distance-call stats changed"
             );
         }
-        if let (Some(pruned3), Some(full3)) = (&pruned3, &full3) {
-            for (a, b) in pruned3.outcomes.iter().zip(&full3.outcomes) {
-                assert_eq!(a.result, b.result, "{backend}: Type III results changed");
-                assert_eq!(
-                    frozen(&a.stats),
-                    frozen(&b.stats),
-                    "{backend}: Type III distance-call stats changed"
-                );
-            }
+        for (a, b) in pruned3.outcomes.iter().zip(&full3.outcomes) {
+            assert_eq!(a.result, b.result, "{backend}: Type III results changed");
+            assert_eq!(
+                frozen(&a.stats),
+                frozen(&b.stats),
+                "{backend}: Type III distance-call stats changed"
+            );
         }
 
-        let type3_cells = |b: &Option<ssr_core::BatchOutcome<_>>| {
-            b.as_ref().map_or(0, |b| b.total_stats().dp_cells_evaluated)
-        };
-        let pruned_cells = pruned1.total_stats().dp_cells_evaluated + type3_cells(&pruned3);
-        let full_cells = full1.total_stats().dp_cells_evaluated + type3_cells(&full3);
+        let pruned_cells =
+            pruned1.total_stats().dp_cells_evaluated + pruned3.total_stats().dp_cells_evaluated;
+        let full_cells =
+            full1.total_stats().dp_cells_evaluated + full3.total_stats().dp_cells_evaluated;
         assert_eq!(
-            full1.total_stats().pruned_by_lower_bound
-                + full3
-                    .as_ref()
-                    .map_or(0, |b| b.total_stats().pruned_by_lower_bound),
+            full1.total_stats().pruned_by_lower_bound + full3.total_stats().pruned_by_lower_bound,
             0,
             "{backend}: disabled pruning still recorded lower-bound prunes"
         );

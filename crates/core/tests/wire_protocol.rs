@@ -282,3 +282,59 @@ fn oversized_length_prefix_is_refused_without_reading_the_payload() {
     }
     server.shutdown();
 }
+
+#[test]
+fn unusable_radii_are_refused_before_admission() {
+    let server = tiny_server();
+    let mut client = ssr_core::Client::<Symbol>::connect(server.local_addr()).expect("connect");
+    let sweep = |epsilon_max, epsilon_increment| QuerySpec::Type3 {
+        epsilon_max,
+        epsilon_increment,
+    };
+    let hostile = [
+        // A step the engine would assert on …
+        sweep(4.0, 0.0),
+        sweep(4.0, -1.0),
+        sweep(4.0, f64::NAN),
+        sweep(0.0, 0.0),
+        // … and sweeps that would pin a worker in the growth loop.
+        sweep(f64::INFINITY, 1.0),
+        sweep(4.0, f64::INFINITY),
+        sweep(1e12, 1e-6),
+        sweep(f64::NAN, 1.0),
+        sweep(-1.0, 1.0),
+        QuerySpec::Type1 { epsilon: f64::NAN },
+        QuerySpec::Type1 { epsilon: -0.5 },
+        QuerySpec::Type2 {
+            epsilon: f64::INFINITY,
+        },
+        QuerySpec::Type2 {
+            epsilon: f64::NEG_INFINITY,
+        },
+    ];
+    for spec in hostile {
+        let request = Request::Query {
+            spec,
+            queries: vec![sym("ACDEFGHIKLMNPQRSTVWY")],
+        };
+        match client.request(&request).expect("a typed answer") {
+            Response::Error(WireError::Malformed(_)) => {}
+            other => panic!("{spec:?}: expected a malformed refusal, got {other:?}"),
+        }
+    }
+    // Nothing reached a worker, and the same connection still serves a sweep
+    // at the edge of what is allowed.
+    match client.request(&Request::Stats).expect("stats") {
+        Response::Stats(stats) => assert_eq!(stats.queries_executed, 0),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    let request = Request::Query {
+        spec: sweep(1024.0, 1.0),
+        queries: vec![sym("ACDEFGHIKLMNPQRSTVWY")],
+    };
+    match client.request(&request).expect("valid sweep") {
+        Response::Outcomes(outcomes) => assert_eq!(outcomes.len(), 1),
+        other => panic!("expected outcomes, got {other:?}"),
+    }
+    server.shutdown();
+}
