@@ -7,9 +7,11 @@
 //! parent is within `ǫ'·2^{child_level + 1}` of each child — but every node
 //! has **exactly one** parent, so it is a tree. Range queries descend the tree
 //! level by level, pruning or bulk-accepting whole subtrees with the triangle
-//! inequality; the lack of multiple parents is precisely what the paper's
-//! Figure 2 shows can force extra distance computations compared to the
-//! Reference Net.
+//! inequality against each node's `reach` — the bound its own edges add up
+//! to, zero for a leaf — which is also what every distance call is cut off
+//! at (`radius + reach`). The lack of multiple parents is precisely what the
+//! paper's Figure 2 shows can force extra distance computations compared to
+//! the Reference Net.
 
 use std::collections::BTreeMap;
 
@@ -23,6 +25,12 @@ struct Node {
     level: i32,
     parent: Option<usize>,
     children: Vec<usize>,
+    /// Upper bound on the distance from this node to anything in its
+    /// subtree: `max` over children `c` of `ǫ'·2^{level(c)+1} + reach(c)`,
+    /// zero for a leaf. A pure function of the edges and levels, so it is
+    /// never serialized: [`CoverTree::structural_reach`] rebuilds it without
+    /// a single distance call.
+    reach: f64,
 }
 
 /// A cover tree over items of type `T` under metric `M`.
@@ -41,13 +49,34 @@ impl<T, M> CoverTree<T, M> {
         self.epsilon_prime * f64::powi(2.0, level)
     }
 
-    fn mark_subtree(&self, start: usize, value: bool, decided: &mut [Option<bool>]) {
-        let mut stack: Vec<usize> = self.nodes[start].children.clone();
-        while let Some(n) = stack.pop() {
-            if decided[n].is_none() {
-                decided[n] = Some(value);
+    /// The reach of every node, from the edges and levels alone — no
+    /// distance call. Children sit strictly below their parents, so walking
+    /// `by_level` upwards finalises every child before its parent reads it.
+    fn structural_reach(&self) -> Vec<f64> {
+        let mut reach = vec![0.0f64; self.nodes.len()];
+        for ids in self.by_level.values() {
+            for &n in ids {
+                reach[n] = self.nodes[n]
+                    .children
+                    .iter()
+                    .map(|&c| self.radius(self.nodes[c].level + 1) + reach[c])
+                    .fold(0.0, f64::max);
             }
-            stack.extend(self.nodes[n].children.iter().copied());
+        }
+        reach
+    }
+
+    /// Decides the still-undecided part of `start`'s subtree (`start` itself
+    /// is decided by its caller).
+    fn mark_subtree(&self, start: usize, value: bool, decided: &mut [Option<bool>]) {
+        let mut stack = vec![start];
+        while let Some(n) = stack.pop() {
+            for &c in &self.nodes[n].children {
+                if decided[c].is_none() {
+                    decided[c] = Some(value);
+                }
+                stack.push(c);
+            }
         }
     }
 
@@ -71,29 +100,28 @@ impl<T, M> CoverTree<T, M> {
             return Vec::new();
         }
         let mut decided: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        for (&level, ids) in self.by_level.iter().rev() {
-            let r_sub = self.radius(level + 1);
-            // The only decisions that need the exact distance are those with
-            // d ≤ radius + r_sub: anything farther is pruned together with
-            // its whole subtree. Passing that threshold to the probe lets a
-            // threshold-aware kernel abandon early; the triangle-inequality
-            // residual r_sub is exactly what the pruning rule already uses.
-            let tau = radius + r_sub;
+        for ids in self.by_level.values().rev() {
             for &n in ids {
                 if decided[n].is_some() {
                     continue;
                 }
-                match probe(&self.items[n], tau) {
+                // The only decisions that need the exact distance are those
+                // with d ≤ radius + reach: anything farther is pruned
+                // together with its whole subtree. Passing that threshold to
+                // the probe lets a threshold-aware kernel abandon early; a
+                // leaf has reach 0 and is probed at the query radius itself.
+                let reach = self.nodes[n].reach;
+                match probe(&self.items[n], radius + reach) {
                     Some(d) => {
                         decided[n] = Some(d <= radius);
-                        if d + r_sub <= radius {
+                        if d + reach <= radius {
                             self.mark_subtree(n, true, &mut decided);
-                        } else if d - r_sub > radius {
+                        } else if d - reach > radius {
                             self.mark_subtree(n, false, &mut decided);
                         }
                     }
                     None => {
-                        // d > radius + r_sub: the node and everything below
+                        // d > radius + reach: the node and everything below
                         // it lie outside the query ball.
                         decided[n] = Some(false);
                         self.mark_subtree(n, false, &mut decided);
@@ -156,7 +184,9 @@ impl<T, M: Metric<T>> CoverTree<T, M> {
     }
 
     /// Structural invariants: single parent, level ordering, covering radius,
-    /// and reachability from the root. Used by tests.
+    /// reachability from the root, every stored `reach` equal to the
+    /// from-scratch bottom-up pass, and no node farther from an ancestor than
+    /// that ancestor's `reach`. Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         let root = match self.root {
             Some(r) => r,
@@ -202,6 +232,24 @@ impl<T, M: Metric<T>> CoverTree<T, M> {
         if reached.iter().any(|&r| !r) {
             return Err("unreachable node".into());
         }
+        for (i, (node, reach)) in self.nodes.iter().zip(self.structural_reach()).enumerate() {
+            if node.reach != reach {
+                return Err(format!(
+                    "node {i} stores reach {}, the bottom-up pass gives {reach}",
+                    node.reach
+                ));
+            }
+            let mut stack = node.children.clone();
+            while let Some(x) = stack.pop() {
+                let d = self.metric.dist(&self.items[i], &self.items[x]);
+                if d > reach + 1e-9 {
+                    return Err(format!(
+                        "node {x} sits below {i} at distance {d}, beyond its reach {reach}"
+                    ));
+                }
+                stack.extend(&self.nodes[x].children);
+            }
+        }
         Ok(())
     }
 
@@ -225,6 +273,7 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
             level: 0,
             parent: None,
             children: Vec::new(),
+            reach: 0.0,
         });
 
         let root = match self.root {
@@ -260,8 +309,12 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
                     if self.nodes[c].level < level - 1 {
                         continue;
                     }
-                    let dc = self.metric.dist(&self.items[idx], &self.items[c]);
-                    if dc <= next_radius {
+                    // Only children within `next_radius` are kept, so the
+                    // kernel may abandon as soon as it knows this one is not.
+                    let within =
+                        self.metric
+                            .dist_within(&self.items[idx], &self.items[c], next_radius);
+                    if let Some(dc) = within {
                         next.push((c, dc));
                     }
                 }
@@ -280,12 +333,25 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
                     .iter()
                     .copied()
                     .filter(|&(p, d)| self.nodes[p].level > placement && d <= bound)
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .map(|(p, _)| p)
                     .expect("descent always leaves at least one covering parent");
                 self.set_level(idx, placement);
                 self.nodes[idx].parent = Some(parent);
                 self.nodes[parent].children.push(idx);
+                // The new leaf can only grow its ancestors' reach: carry the
+                // growth up until an ancestor already reaches that far,
+                // which leaves exactly what `structural_reach` computes.
+                let mut child = idx;
+                while let Some(p) = self.nodes[child].parent {
+                    let through =
+                        self.radius(self.nodes[child].level + 1) + self.nodes[child].reach;
+                    if through <= self.nodes[p].reach {
+                        break;
+                    }
+                    self.nodes[p].reach = through;
+                    child = p;
+                }
                 return ItemId(idx);
             }
             cands = next;
@@ -309,8 +375,11 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
     }
 
     fn space_stats(&self) -> SpaceStats {
-        let entries = self.items.len().saturating_sub(1); // one parent per non-root node
-        let estimated_bytes = self.items.len() * (4 + std::mem::size_of::<Vec<usize>>() + 16);
+        // One parent per non-root node.
+        let entries = self.items.len().saturating_sub(1);
+        // Per node: level tag + child Vec header + parent slot + reach.
+        let estimated_bytes = self.items.len()
+            * (4 + std::mem::size_of::<Vec<usize>>() + 16 + std::mem::size_of::<f64>());
         let avg_parents = if self.items.len() <= 1 { 0.0 } else { 1.0 };
         SpaceStats {
             items: self.items.len(),
@@ -341,6 +410,8 @@ impl Decode for Node {
             level: r.take_i32()?,
             parent: Option::<usize>::decode(r)?,
             children: Vec::<usize>::decode(r)?,
+            // Derived from the edges once the whole tree is decoded.
+            reach: 0.0,
         })
     }
 }
@@ -406,6 +477,17 @@ impl<T: Decode, M: Metric<T>> DecodeWith<M> for CoverTree<T, M> {
                 "cover tree edge index out of range".into(),
             ));
         }
+        // Subtree decisions walk down the child lists and reach maintenance
+        // walks up the parent links; strictly monotone levels are what makes
+        // both walks end.
+        if !nodes.iter().all(|n| {
+            n.parent.iter().all(|&p| nodes[p].level > n.level)
+                && n.children.iter().all(|&c| nodes[c].level < n.level)
+        }) {
+            return Err(StorageError::Malformed(
+                "cover tree edge does not descend a level".into(),
+            ));
+        }
         let levels = Vec::<(i32, Vec<usize>)>::decode(r)?;
         let mut by_level = BTreeMap::new();
         for (level, ids) in levels {
@@ -426,14 +508,19 @@ impl<T: Decode, M: Metric<T>> DecodeWith<M> for CoverTree<T, M> {
                 "cover tree root out of range".into(),
             ));
         }
-        Ok(CoverTree {
+        let mut tree = CoverTree {
             epsilon_prime,
             metric,
             items,
             nodes,
             by_level,
             root,
-        })
+        };
+        let reach = tree.structural_reach();
+        for (node, reach) in tree.nodes.iter_mut().zip(reach) {
+            node.reach = reach;
+        }
+        Ok(tree)
     }
 }
 
@@ -477,6 +564,49 @@ mod tests {
                 .map(|(i, _)| i)
                 .collect();
             assert_eq!(got, expected, "q={q} r={r}");
+        }
+    }
+
+    #[test]
+    fn thresholds_are_the_nodes_own_reach() {
+        let values: Vec<f64> = (0..400).map(|i| ((i * 37) % 397) as f64 * 0.3).collect();
+        for epsilon_prime in [0.5, 1.0, 3.0] {
+            let mut tree = CoverTree::with_epsilon_prime(scalar_metric(), epsilon_prime);
+            tree.extend(values.iter().copied());
+            tree.check_invariants().unwrap();
+            let mut leaves = 0;
+            for &(q, r) in &[(10.0, 5.0), (75.0, 0.4), (0.0, 150.0), (60.0, 0.0)] {
+                let mut probed = vec![false; values.len()];
+                let got = tree.range_query_with(
+                    |item, tau| {
+                        let n = tree
+                            .items
+                            .iter()
+                            .position(|x| std::ptr::eq(x, item))
+                            .expect("probed items live in the tree");
+                        assert!(!std::mem::replace(&mut probed[n], true), "{n} probed twice");
+                        let node = &tree.nodes[n];
+                        if node.children.is_empty() {
+                            leaves += 1;
+                            assert_eq!(tau, r, "leaf {n}");
+                        }
+                        assert!(
+                            r <= tau && tau <= r + tree.radius(node.level + 1),
+                            "node {n} at level {} probed at {tau} for radius {r}",
+                            node.level
+                        );
+                        tree.metric.dist_within(&q, item, tau)
+                    },
+                    r,
+                );
+                let mut got: Vec<usize> = got.into_iter().map(|i| i.0).collect();
+                got.sort_unstable();
+                let expected: Vec<usize> = (0..values.len())
+                    .filter(|&i| (values[i] - q).abs() <= r)
+                    .collect();
+                assert_eq!(got, expected, "q={q} r={r} eps'={epsilon_prime}");
+            }
+            assert!(leaves > 0, "the audit never saw a leaf");
         }
     }
 

@@ -25,9 +25,10 @@ pub trait Metric<T>: Send + Sync {
     /// exactly when `dist(a, b) ≤ tau`, `None` otherwise — never approximate.
     ///
     /// Range queries always know such a threshold (the query radius, widened
-    /// by the triangle-inequality residual of the level being visited), and
-    /// threshold-aware sequence kernels can cut most of their DP work when
-    /// they know it. The default runs the full distance, so any metric is
+    /// by the triangle-inequality residual of the node being visited), as do
+    /// the tree insert descents (the radius of the level being searched),
+    /// and threshold-aware sequence kernels can cut most of their DP work
+    /// when they know it. The default runs the full distance, so any metric is
     /// automatically correct.
     fn dist_within(&self, a: &T, b: &T, tau: f64) -> Option<f64> {
         let d = self.dist(a, b);

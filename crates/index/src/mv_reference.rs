@@ -146,7 +146,7 @@ impl<T: Send + Sync, M: Metric<T>> MvReferenceIndex<T, M> {
                     dists.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / dists.len() as f64;
                 (c, var)
             });
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         self.references = scored.into_iter().take(k).map(|(c, _)| c).collect();
 
         // Pivot table: distance from every item to every pivot.

@@ -16,9 +16,13 @@
 //!
 //! Range queries follow Algorithm 3: references are visited level by level
 //! from the top; for each undecided reference one distance is computed and the
-//! triangle inequality is used to accept or prune either its direct list
-//! (radius `ǫ'·2^i`) or everything derived from it (radius `ǫ'·2^{i+1}`,
-//! Lemma 4). The number of distance evaluations is therefore the number of
+//! triangle inequality is used to accept or prune either its direct list or
+//! everything derived from it (Lemma 4). Lemma 4 only needs *an upper bound*
+//! on the distance from a reference to what it covers, so instead of the
+//! level's worst case (`ǫ'·2^i` / `ǫ'·2^{i+1}`) every node keeps the bound
+//! its own edges actually add up to — its `list` and `reach`, zero for a
+//! childless reference — and each distance call is cut off at
+//! `radius + reach`. The number of distance evaluations is the number of
 //! references that could not be bulk-decided — the quantity the paper's
 //! Figures 8–11 report as a fraction of the naive linear scan.
 
@@ -77,6 +81,34 @@ struct Node {
     parents: Vec<usize>,
     children: Vec<usize>,
     alive: bool,
+    /// Upper bound on the distance from this reference to anything derived
+    /// from it: `max` over children `c` of `ǫ'·2^{level(c)+1} + reach(c)`,
+    /// zero when childless. A pure function of the edges and levels, so it
+    /// is never serialized: [`ReferenceNet::structural_bounds`] rebuilds it
+    /// without a single distance call.
+    reach: f64,
+    /// The one-hop version, covering the direct list only: `max` over
+    /// children `c` of `ǫ'·2^{level(c)+1}`.
+    list: f64,
+}
+
+/// Per-query decision state of Algorithm 3.
+struct Decisions {
+    /// `Some(in_result)` once a node is decided; the first decision stands.
+    decided: Vec<Option<bool>>,
+    /// Nodes whose derived references are all decided: a bulk decision never
+    /// descends below one again, so every bulk decision of a query together
+    /// walks each edge of the multi-parent DAG at most once.
+    swept: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl Decisions {
+    fn decide(&mut self, n: usize, value: bool) {
+        if self.decided[n].is_none() {
+            self.decided[n] = Some(value);
+        }
+    }
 }
 
 /// The Reference Net metric index.
@@ -224,6 +256,9 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
         for orphan in orphans {
             self.reattach(orphan, &old_parents);
         }
+        // Removing edges (and re-levelling a promoted root or orphan) can
+        // only be answered by looking at what is left.
+        self.recompute_bounds();
         true
     }
 
@@ -233,7 +268,10 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// 2. every parent link connects a strictly higher level to a lower level
     ///    and spans a distance of at most `ǫ'·2^{child_level + 1}`;
     /// 3. the number of parents never exceeds `nummax` (when configured);
-    /// 4. every live node is reachable from the root.
+    /// 4. every live node is reachable from the root;
+    /// 5. every node's stored `reach` / `list` equal the from-scratch
+    ///    bottom-up pass, and no derived reference lies farther from a node
+    ///    than its `reach`.
     pub fn check_invariants(&self) -> Result<(), String> {
         let root = match self.root {
             Some(r) => r,
@@ -296,6 +334,30 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
         for (i, node) in self.nodes.iter().enumerate() {
             if node.alive && !reached[i] {
                 return Err(format!("node {i} is not reachable from the root"));
+            }
+        }
+        for (i, (node, (reach, list))) in
+            self.nodes.iter().zip(self.structural_bounds()).enumerate()
+        {
+            if (node.reach, node.list) != (reach, list) {
+                return Err(format!(
+                    "node {i} stores reach {} / list {}, the bottom-up pass gives {reach} / {list}",
+                    node.reach, node.list
+                ));
+            }
+            let mut seen = vec![false; self.nodes.len()];
+            let mut stack = node.children.clone();
+            while let Some(x) = stack.pop() {
+                if std::mem::replace(&mut seen[x], true) {
+                    continue;
+                }
+                let d = self.metric.dist(&self.items[i], &self.items[x]);
+                if d > reach + 1e-9 {
+                    return Err(format!(
+                        "node {x} derives from {i} at distance {d}, beyond its reach {reach}"
+                    ));
+                }
+                stack.extend(&self.nodes[x].children);
             }
         }
         Ok(())
@@ -388,15 +450,17 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
                 if !self.nodes[c].alive || self.nodes[c].level < level || seen.contains(&c) {
                     continue;
                 }
-                let dc = match precomputed.as_ref().and_then(|p| {
-                    p.binary_search_by_key(&c, |&(id, _)| id)
-                        .ok()
-                        .map(|i| p[i].1)
-                }) {
-                    Some(dc) => dc,
-                    None => self.metric.dist(item, &self.items[c]),
-                };
-                if dc <= radius {
+                // Only children within `radius` are kept, so the kernel may
+                // abandon as soon as it knows the child is farther.
+                let within = precomputed
+                    .as_ref()
+                    .and_then(|p| {
+                        p.binary_search_by_key(&c, |&(id, _)| id)
+                            .ok()
+                            .map(|i| p[i].1)
+                    })
+                    .unwrap_or_else(|| self.metric.dist_within(item, &self.items[c], radius));
+                if let Some(dc) = within {
                     seen.push(c);
                     next.push((c, dc));
                 }
@@ -405,16 +469,19 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
         next
     }
 
-    /// Evaluates the distances of all candidate children eligible at `level`
-    /// on the build worker pool, returning `None` when the fan-out is too
-    /// small to pay for thread spawns (or parallelism is disabled). The
-    /// result is sorted by node id for binary-search lookup.
+    /// Evaluates the distances (thresholded at `ǫ'·2^level`, as [`gather`]
+    /// does) of all candidate children eligible at `level` on the build
+    /// worker pool, returning `None` when the fan-out is too small to pay
+    /// for thread spawns (or parallelism is disabled). The result is sorted
+    /// by node id for binary-search lookup.
+    ///
+    /// [`gather`]: ReferenceNet::gather
     fn precompute_child_distances(
         &self,
         item: &T,
         level: i32,
         cands: &[(usize, f64)],
-    ) -> Option<Vec<(usize, f64)>> {
+    ) -> Option<Vec<(usize, Option<f64>)>> {
         if self.build_threads <= 1 {
             return None;
         }
@@ -434,8 +501,10 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
         if pending.len() < PARALLEL_GATHER_THRESHOLD {
             return None;
         }
+        let radius = self.radius(level);
         let mut distances = crate::par::fanout_map(self.build_threads, pending.len(), |i| {
-            (pending[i], self.metric.dist(item, &self.items[pending[i]]))
+            let c = pending[i];
+            (c, self.metric.dist_within(item, &self.items[c], radius))
         });
         distances.sort_unstable_by_key(|&(id, _)| id);
         Some(distances)
@@ -444,13 +513,34 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// Attaches node `idx` (already levelled) to up to `nummax` of the given
     /// eligible parents, nearest first.
     fn attach(&mut self, idx: usize, mut eligible: Vec<(usize, f64)>) {
-        eligible.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        eligible.sort_by(|a, b| a.1.total_cmp(&b.1));
         eligible.dedup_by_key(|e| e.0);
         let cap = self.config.max_parents.unwrap_or(usize::MAX).max(1);
+        let edge = self.radius(self.nodes[idx].level + 1);
+        let through = edge + self.nodes[idx].reach;
         for (p, _) in eligible.into_iter().take(cap) {
             if !self.nodes[idx].parents.contains(&p) {
                 self.nodes[idx].parents.push(p);
                 self.nodes[p].children.push(idx);
+                self.nodes[p].list = self.nodes[p].list.max(edge);
+                self.raise_reach(p, through);
+            }
+        }
+    }
+
+    /// Raises `reach(n)` to at least `through` and carries any growth up
+    /// through every ancestor. A new edge can only grow bounds, so this
+    /// leaves exactly the values [`Self::structural_bounds`] computes;
+    /// parents sit strictly above their children, so the walk ends.
+    fn raise_reach(&mut self, n: usize, through: f64) {
+        let mut stack = vec![(n, through)];
+        while let Some((n, through)) = stack.pop() {
+            if through > self.nodes[n].reach {
+                self.nodes[n].reach = through;
+                let node = &self.nodes[n];
+                // The edge to a parent is only priced where there is one.
+                let above = |&p| (p, self.radius(node.level + 1) + through);
+                stack.extend(node.parents.iter().map(above));
             }
         }
     }
@@ -517,15 +607,45 @@ impl<T, M> ReferenceNet<T, M> {
         self.config.epsilon_prime * f64::powi(2.0, level)
     }
 
-    fn mark_descendants(&self, start: usize, value: bool, decided: &mut [Option<bool>]) {
-        let mut stack: Vec<usize> = self.nodes[start].children.clone();
-        while let Some(n) = stack.pop() {
-            if decided[n].is_none() {
-                decided[n] = Some(value);
+    /// The `(reach, list)` bound of every node, from the edges and levels
+    /// alone — no distance call. Children sit strictly below their parents,
+    /// so walking `by_level` upwards finalises every child before a parent
+    /// reads it. Dead nodes (in no bucket, no edges) get zeros.
+    fn structural_bounds(&self) -> Vec<(f64, f64)> {
+        let mut bounds = vec![(0.0f64, 0.0f64); self.nodes.len()];
+        for ids in self.by_level.values() {
+            for &n in ids {
+                let (mut reach, mut list) = (0.0f64, 0.0f64);
+                for &c in &self.nodes[n].children {
+                    let edge = self.radius(self.nodes[c].level + 1);
+                    list = list.max(edge);
+                    reach = reach.max(edge + bounds[c].0);
+                }
+                bounds[n] = (reach, list);
             }
-            // Descend regardless of the node's own decision state: some of its
-            // descendants may still be undecided through this path.
-            stack.extend(self.nodes[n].children.iter().copied());
+        }
+        bounds
+    }
+
+    fn recompute_bounds(&mut self) {
+        let bounds = self.structural_bounds();
+        for (node, (reach, list)) in self.nodes.iter_mut().zip(bounds) {
+            node.reach = reach;
+            node.list = list;
+        }
+    }
+
+    /// Decides every still-undecided reference derived from `start`.
+    fn mark_descendants(&self, start: usize, value: bool, state: &mut Decisions) {
+        state.stack.push(start);
+        while let Some(n) = state.stack.pop() {
+            if std::mem::replace(&mut state.swept[n], true) {
+                continue;
+            }
+            for &c in &self.nodes[n].children {
+                state.decide(c, value);
+                state.stack.push(c);
+            }
         }
     }
 
@@ -551,52 +671,53 @@ impl<T, M> ReferenceNet<T, M> {
         if self.root.is_none() {
             return Vec::new();
         }
-        let mut decided: Vec<Option<bool>> = vec![None; self.nodes.len()];
+        let mut state = Decisions {
+            decided: vec![None; self.nodes.len()],
+            swept: vec![false; self.nodes.len()],
+            stack: Vec::new(),
+        };
         // Visit references level by level, from the top down (Algorithm 3).
-        for (&level, ids) in self.by_level.iter().rev() {
-            let r_list = self.radius(level);
-            let r_sub = self.radius(level + 1);
-            // Per Lemma 4, a reference farther than radius + r_sub excludes
-            // all its derived references, so no decision below needs the
-            // exact distance beyond that threshold — pass it to the probe
-            // and let a threshold-aware kernel abandon early.
-            let tau = radius + r_sub;
+        for ids in self.by_level.values().rev() {
             for &n in ids {
-                if !self.nodes[n].alive || decided[n].is_some() {
+                let node = &self.nodes[n];
+                if !node.alive || state.decided[n].is_some() {
                     continue;
                 }
-                match probe(&self.items[n], tau) {
+                // Per Lemma 4, a reference farther than radius + reach
+                // excludes everything derived from it, so no decision below
+                // needs the exact distance beyond that threshold — pass it
+                // to the probe and let a threshold-aware kernel abandon
+                // early. A childless reference has reach 0: it is probed at
+                // the query radius itself.
+                match probe(&self.items[n], radius + node.reach) {
                     Some(d) => {
-                        decided[n] = Some(d <= radius);
-                        if d + r_sub <= radius {
-                            self.mark_descendants(n, true, &mut decided);
-                        } else if d + r_list <= radius {
-                            for &c in &self.nodes[n].children {
-                                if decided[c].is_none() {
-                                    decided[c] = Some(true);
-                                }
+                        state.decided[n] = Some(d <= radius);
+                        if d + node.reach <= radius {
+                            self.mark_descendants(n, true, &mut state);
+                        } else if d + node.list <= radius {
+                            for &c in &node.children {
+                                state.decide(c, true);
                             }
                         }
-                        if d - r_sub > radius {
-                            self.mark_descendants(n, false, &mut decided);
-                        } else if d - r_list > radius {
-                            for &c in &self.nodes[n].children {
-                                if decided[c].is_none() {
-                                    decided[c] = Some(false);
-                                }
+                        if d - node.reach > radius {
+                            self.mark_descendants(n, false, &mut state);
+                        } else if d - node.list > radius {
+                            for &c in &node.children {
+                                state.decide(c, false);
                             }
                         }
                     }
                     None => {
-                        // d > radius + r_sub (Lemma 4): prune the reference
+                        // d > radius + reach (Lemma 4): prune the reference
                         // and everything derived from it.
-                        decided[n] = Some(false);
-                        self.mark_descendants(n, false, &mut decided);
+                        state.decided[n] = Some(false);
+                        self.mark_descendants(n, false, &mut state);
                     }
                 }
             }
         }
-        decided
+        state
+            .decided
             .iter()
             .enumerate()
             .filter(|&(i, d)| self.nodes[i].alive && *d == Some(true))
@@ -614,6 +735,8 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
             parents: Vec::new(),
             children: Vec::new(),
             alive: true,
+            reach: 0.0,
+            list: 0.0,
         });
         self.live_count += 1;
 
@@ -685,10 +808,11 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
             .filter(|n| n.alive)
             .map(|n| n.parents.len())
             .sum();
-        // Per live node: level tag + alive flag + the two Vec headers; per
-        // edge: one parent slot and one child slot.
-        let estimated_bytes =
-            self.live_count * (4 + 1 + 2 * std::mem::size_of::<Vec<usize>>()) + entries * 16;
+        // Per live node: level tag + alive flag + the two Vec headers + the
+        // reach / list bounds; per edge: one parent slot and one child slot.
+        let estimated_bytes = self.live_count
+            * (4 + 1 + 2 * std::mem::size_of::<Vec<usize>>() + 2 * std::mem::size_of::<f64>())
+            + entries * 16;
         SpaceStats {
             items: self.live_count,
             entries,
@@ -720,6 +844,9 @@ impl Decode for Node {
             parents: Vec::<usize>::decode(r)?,
             children: Vec::<usize>::decode(r)?,
             alive: r.take_bool()?,
+            // Derived from the edges once the whole net is decoded.
+            reach: 0.0,
+            list: 0.0,
         })
     }
 }
@@ -794,6 +921,17 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
                 "reference net edge index out of range".into(),
             ));
         }
+        // Bulk decisions walk down the child lists and bound maintenance
+        // walks up the parent lists; strictly monotone levels are what makes
+        // both walks end.
+        if !nodes.iter().all(|n| {
+            n.parents.iter().all(|&p| nodes[p].level > n.level)
+                && n.children.iter().all(|&c| nodes[c].level < n.level)
+        }) {
+            return Err(StorageError::Malformed(
+                "reference net edge does not descend a level".into(),
+            ));
+        }
         let levels = Vec::<(i32, Vec<usize>)>::decode(r)?;
         let mut by_level = BTreeMap::new();
         for (level, ids) in levels {
@@ -820,7 +958,7 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
                 "reference net live count disagrees with node liveness".into(),
             ));
         }
-        Ok(ReferenceNet {
+        let mut net = ReferenceNet {
             config: ReferenceNetConfig {
                 epsilon_prime,
                 max_parents,
@@ -832,7 +970,9 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
             root,
             live_count,
             build_threads: 1,
-        })
+        };
+        net.recompute_bounds();
+        Ok(net)
     }
 }
 
@@ -1014,6 +1154,152 @@ mod tests {
             "expected substantial pruning, used {calls} of {} distances",
             values.len()
         );
+    }
+
+    /// Range query through a recording probe: every threshold is checked
+    /// against the node it was issued for. Returns the sorted result ids and
+    /// how many childless references were probed.
+    fn audited_query<T: Send + Sync, M: Metric<T>>(
+        net: &ReferenceNet<T, M>,
+        query: &T,
+        radius: f64,
+    ) -> (Vec<usize>, usize) {
+        let mut probed = vec![false; net.nodes.len()];
+        let mut childless = 0;
+        let ids = net.range_query_with(
+            |item, tau| {
+                let n = net
+                    .items
+                    .iter()
+                    .position(|x| std::ptr::eq(x, item))
+                    .expect("probed items live in the net");
+                assert!(!std::mem::replace(&mut probed[n], true), "{n} probed twice");
+                let node = &net.nodes[n];
+                if node.children.is_empty() {
+                    childless += 1;
+                    assert_eq!(tau, radius, "childless node {n}");
+                }
+                assert!(
+                    radius <= tau && tau <= radius + net.radius(node.level + 1),
+                    "node {n} at level {} probed at {tau} for radius {radius}",
+                    node.level
+                );
+                net.metric.dist_within(query, item, tau)
+            },
+            radius,
+        );
+        let mut ids: Vec<usize> = ids.into_iter().map(|i| i.0).collect();
+        ids.sort_unstable();
+        (ids, childless)
+    }
+
+    #[test]
+    fn thresholds_are_the_nodes_own_reach_on_scalars() {
+        let values: Vec<f64> = (0..400).map(|i| ((i * 37) % 397) as f64 * 0.3).collect();
+        for (epsilon_prime, cap) in [(0.5, None), (1.0, Some(2)), (3.0, None)] {
+            let mut config = ReferenceNetConfig::with_epsilon_prime(epsilon_prime);
+            if let Some(cap) = cap {
+                config = config.with_max_parents(cap);
+            }
+            let mut net = ReferenceNet::with_config(scalar_metric(), config);
+            net.extend(values.iter().copied());
+            for i in (0..values.len()).step_by(7) {
+                net.delete(ItemId(i));
+            }
+            net.check_invariants().unwrap();
+            let mut childless = 0;
+            for &(q, r) in &[(10.0, 5.0), (75.0, 0.4), (0.0, 150.0), (60.0, 0.0)] {
+                let (got, leaves) = audited_query(&net, &q, r);
+                let expected: Vec<usize> = brute_force(&values, q, r)
+                    .into_iter()
+                    .filter(|i| i % 7 != 0)
+                    .collect();
+                assert_eq!(got, expected, "q={q} r={r} eps'={epsilon_prime}");
+                childless += leaves;
+            }
+            assert!(childless > 0, "the audit never saw a childless reference");
+        }
+    }
+
+    #[test]
+    fn thresholds_are_the_nodes_own_reach_on_levenshtein_windows() {
+        use crate::metric::SequenceMetricAdapter;
+        use ssr_distance::Levenshtein;
+        use ssr_sequence::Symbol;
+
+        // A small alphabet keeps neighbouring windows close enough for a
+        // hierarchy several levels deep.
+        let mut state = 0x9E37_79B9u32;
+        let mut window = || -> Vec<Symbol> {
+            (0..8)
+                .map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    Symbol::from_char(b"ACGT"[(state >> 24) as usize % 4] as char)
+                })
+                .collect()
+        };
+        let windows: Vec<Vec<Symbol>> = (0..300).map(|_| window()).collect();
+        let metric = SequenceMetricAdapter::new(Levenshtein::new());
+        let mut net = ReferenceNet::new(metric.clone());
+        net.extend(windows.iter().cloned());
+        net.check_invariants().unwrap();
+        for radius in [0.0, 1.0, 2.0, 4.0, 8.0] {
+            let query = window();
+            let (got, _) = audited_query(&net, &query, radius);
+            let expected: Vec<usize> = (0..windows.len())
+                .filter(|&i| metric.dist(&query, &windows[i]) <= radius)
+                .collect();
+            assert_eq!(got, expected, "radius={radius}");
+        }
+    }
+
+    #[test]
+    fn bulk_decisions_do_not_rewalk_shared_descendants() {
+        // A ladder of diamonds: every rung has two nodes, each a parent of
+        // both nodes of the rung below, so the root reaches the bottom along
+        // 2^rungs paths. One bulk decision must still touch each node once.
+        let rungs = 40;
+        let mut net = build(&[0.0]);
+        net.set_level(0, rungs + 1);
+        for rung in (1..=rungs).rev() {
+            for _ in 0..2 {
+                let idx = net.items.len();
+                net.items.push(0.0);
+                net.nodes.push(Node {
+                    level: 0,
+                    parents: Vec::new(),
+                    children: Vec::new(),
+                    alive: true,
+                    reach: 0.0,
+                    list: 0.0,
+                });
+                net.live_count += 1;
+                net.set_level(idx, rung);
+                let above: Vec<(usize, f64)> = net.by_level[&(rung + 1)]
+                    .iter()
+                    .map(|&p| (p, 0.0))
+                    .collect();
+                net.attach(idx, above);
+            }
+        }
+        net.check_invariants().unwrap();
+        let counter = std::cell::Cell::new(0);
+        let probe = |query: f64, radius: f64| {
+            counter.set(0);
+            net.range_query_with(
+                |item, tau| {
+                    counter.set(counter.get() + 1);
+                    net.metric.dist_within(&query, item, tau)
+                },
+                radius,
+            )
+        };
+        // Far inside the ball and far outside it: the root's one distance
+        // decides the whole net either way.
+        assert_eq!(probe(0.0, 1e15).len(), 2 * rungs as usize + 1);
+        assert_eq!(counter.get(), 1);
+        assert!(probe(1e15, 1.0).is_empty());
+        assert_eq!(counter.get(), 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests: every index structure must answer range queries exactly
 //! like a brute-force linear scan, for any metric, dataset and radius, and the
-//! Reference Net must preserve its structural invariants under arbitrary
-//! insert / delete interleavings.
+//! Reference Net must preserve its structural invariants — the per-node
+//! reach bounds included — under arbitrary insert / delete interleavings and
+//! across a snapshot round-trip. Thresholding, on probe or on insert, may
+//! save DP cells but never changes a structure, an answer or a call count.
 
 use proptest::prelude::*;
 
@@ -11,6 +13,7 @@ use ssr_index::{
     ReferenceNet, ReferenceNetConfig, SequenceMetricAdapter,
 };
 use ssr_sequence::Symbol;
+use ssr_storage::{DecodeWith, Encode, Reader, Writer};
 
 fn scalar_metric() -> FnMetric<fn(&f64, &f64) -> f64> {
     FnMetric(|a: &f64, b: &f64| (a - b).abs())
@@ -20,6 +23,26 @@ fn sorted_ids(ids: Vec<ItemId>) -> Vec<usize> {
     let mut v: Vec<usize> = ids.into_iter().map(|i| i.0).collect();
     v.sort_unstable();
     v
+}
+
+fn encoded<T: Encode>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.encode(&mut w);
+    w.into_bytes()
+}
+
+type WindowFn = fn(&Vec<Symbol>, &Vec<Symbol>) -> f64;
+
+/// Levenshtein over the threshold-aware sequence kernel (banded +
+/// early-abandoning `dist_within`).
+fn kernel_metric() -> SequenceMetricAdapter<Levenshtein> {
+    SequenceMetricAdapter::new(Levenshtein::new())
+}
+
+/// The same distance as a plain closure, whose default `dist_within` runs the
+/// full DP and compares afterwards.
+fn full_dp_metric() -> FnMetric<WindowFn> {
+    FnMetric(|a, b| SequenceDistance::<Symbol>::distance(&Levenshtein::new(), a, b))
 }
 
 fn symbol_window(len: usize) -> impl Strategy<Value = Vec<Symbol>> {
@@ -124,22 +147,15 @@ proptest! {
         radius in 0.0f64..8.0,
     ) {
         // The same indexes built twice: once over the threshold-aware
-        // sequence kernel (banded + early-abandoning `dist_within`), once
-        // over a plain closure metric whose default `dist_within` runs the
-        // full DP. Results AND per-query distance-call counts must agree
-        // exactly — pruning saves DP cells, never calls or answers.
-        let kernel = || SequenceMetricAdapter::new(Levenshtein::new());
-        let full = || {
-            FnMetric(|a: &Vec<Symbol>, b: &Vec<Symbol>| {
-                SequenceDistance::<Symbol>::distance(&Levenshtein::new(), a, b)
-            })
-        };
+        // sequence kernel, once over the full-DP closure metric. Results AND
+        // per-query distance-call counts must agree exactly — pruning saves
+        // DP cells, never calls or answers.
         macro_rules! compare {
             ($build:expr) => {{
                 let kc = CallCounter::new();
                 let fc = CallCounter::new();
-                let with_kernel = $build(CountingMetric::new(kernel(), kc.clone()));
-                let with_full = $build(CountingMetric::new(full(), fc.clone()));
+                let with_kernel = $build(CountingMetric::new(kernel_metric(), kc.clone()));
+                let with_full = $build(CountingMetric::new(full_dp_metric(), fc.clone()));
                 kc.reset();
                 fc.reset();
                 let a = sorted_ids(with_kernel.range_query(&query, radius));
@@ -175,9 +191,14 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), -30.0f64..30.0), 1..120),
         query in -40.0f64..40.0,
         radius in 0.0f64..20.0,
+        cap in prop::option::of(1usize..4),
     ) {
         // `true` inserts the value, `false` deletes the oldest live item.
-        let mut net = ReferenceNet::new(scalar_metric());
+        let mut config = ReferenceNetConfig::default();
+        if let Some(c) = cap {
+            config = config.with_max_parents(c);
+        }
+        let mut net = ReferenceNet::with_config(scalar_metric(), config);
         let mut reference: Vec<(usize, f64, bool)> = Vec::new(); // (id, value, alive)
         for (insert, value) in ops {
             if insert || reference.iter().all(|&(_, _, alive)| !alive) {
@@ -192,13 +213,63 @@ proptest! {
                 let id = entry.0;
                 prop_assert!(net.delete(ItemId(id)), "delete of live item must succeed");
             }
+            // Includes: the reach kept up to date by this very operation is
+            // the one a from-scratch pass computes, and it bounds every
+            // derived reference.
+            net.check_invariants().unwrap();
         }
-        net.check_invariants().unwrap();
         let expected: Vec<usize> = reference
             .iter()
             .filter(|&&(_, v, alive)| alive && (v - query).abs() <= radius)
             .map(|&(id, _, _)| id)
             .collect();
-        prop_assert_eq!(sorted_ids(net.range_query(&query, radius)), expected);
+        prop_assert_eq!(sorted_ids(net.range_query(&query, radius)), expected.clone());
+
+        // Reach is not in the snapshot: the loaded net derives it again.
+        let bytes = encoded(&net);
+        let loaded =
+            ReferenceNet::<f64, _>::decode_with(&mut Reader::new(&bytes), scalar_metric()).unwrap();
+        loaded.check_invariants().unwrap();
+        prop_assert_eq!(sorted_ids(loaded.range_query(&query, radius)), expected);
+        prop_assert_eq!(encoded(&loaded), bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn insert_thresholding_is_invisible(
+        // Random windows sit far apart, so the root's list is wide enough
+        // (>= 64 pending children) for the parallel gather to engage.
+        windows in prop::collection::vec(symbol_window(8), 100..220),
+    ) {
+        // The insert descent only keeps children within the level's radius
+        // and cuts each distance call off there. Built over the thresholded
+        // kernel or over the full DP, the structure and the number of build
+        // calls must be the same.
+        macro_rules! compare {
+            ($build:expr) => {{
+                let kc = CallCounter::new();
+                let fc = CallCounter::new();
+                let with_kernel = $build(CountingMetric::new(kernel_metric(), kc.clone()));
+                let with_full = $build(CountingMetric::new(full_dp_metric(), fc.clone()));
+                prop_assert_eq!(kc.get(), fc.get(), "build distance-call counts diverged");
+                prop_assert_eq!(encoded(&with_kernel), encoded(&with_full));
+                with_kernel.check_invariants().unwrap();
+            }};
+        }
+        for threads in [1, 4] {
+            compare!(|m| {
+                let mut idx = ReferenceNet::new(m).with_build_threads(threads);
+                idx.extend(windows.iter().cloned());
+                idx
+            });
+        }
+        compare!(|m| {
+            let mut idx = CoverTree::new(m);
+            idx.extend(windows.iter().cloned());
+            idx
+        });
     }
 }

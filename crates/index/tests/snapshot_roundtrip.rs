@@ -149,4 +149,45 @@ fn structurally_invalid_payloads_yield_malformed_errors() {
         .err()
         .expect("out-of-range root must be rejected");
     assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+
+    // A cover tree whose two nodes are each other's parent: bulk decisions
+    // walk child lists down and reach maintenance walks parents up, so an
+    // edge that does not descend a level must be refused, not followed.
+    let mut w = Writer::new();
+    vec![1.0f64, 2.0].encode(&mut w); // items
+    w.put_f64(1.0); // epsilon_prime
+    w.put_usize(2); // two nodes
+    for other in [1usize, 0] {
+        w.put_i32(1); // same level
+        Some(other).encode(&mut w); // parent
+        vec![other].encode(&mut w); // children
+    }
+    vec![(1i32, vec![0usize, 1])].encode(&mut w); // by_level
+    Some(0usize).encode(&mut w); // root
+    let (metric, _) = counted_metric();
+    let err = CoverTree::<f64, _>::decode_with(&mut Reader::new(w.bytes()), metric)
+        .err()
+        .expect("a parent cycle must be rejected");
+    assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+
+    // The same cycle in a reference net.
+    let mut w = Writer::new();
+    vec![1.0f64, 2.0].encode(&mut w); // items
+    w.put_f64(1.0); // epsilon_prime
+    Option::<usize>::None.encode(&mut w); // max_parents
+    w.put_usize(2); // two nodes
+    for other in [1usize, 0] {
+        w.put_i32(1); // same level
+        vec![other].encode(&mut w); // parents
+        vec![other].encode(&mut w); // children
+        w.put_bool(true);
+    }
+    vec![(1i32, vec![0usize, 1])].encode(&mut w); // by_level
+    Some(0usize).encode(&mut w); // root
+    w.put_usize(2); // live_count
+    let (metric, _) = counted_metric();
+    let err = ReferenceNet::<f64, _>::decode_with(&mut Reader::new(w.bytes()), metric)
+        .err()
+        .expect("a parent cycle must be rejected");
+    assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
 }
