@@ -400,7 +400,7 @@ where
             sample.push(distance.distance(a, b));
         }
     }
-    sample.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sample.sort_by(f64::total_cmp);
     [0.01, 0.05, 0.10, 0.25, 0.50]
         .iter()
         .map(|p| sample[((sample.len() - 1) as f64 * p) as usize])

@@ -10,7 +10,7 @@ use std::ops::Range;
 use ssr_distance::SequenceDistance;
 use ssr_sequence::{Element, Sequence, SequenceDataset, SequenceId};
 
-use crate::query::{pair_slices, SubsequenceMatch};
+use crate::query::SubsequenceMatch;
 
 /// Constraints shared by all brute-force searches: minimum length `λ` and
 /// maximum length difference `λ0`.
@@ -20,6 +20,20 @@ pub struct BruteConstraints {
     pub lambda: usize,
     /// Maximum length difference `λ0`.
     pub max_shift: usize,
+}
+
+/// Borrows the two element slices of one pair `(SQ, SX)` as views into their
+/// owning sequences; nothing is copied.
+fn pair_slices<'a, E: Element>(
+    query: &'a Sequence<E>,
+    db_seq: &'a Sequence<E>,
+    q_range: &Range<usize>,
+    x_range: &Range<usize>,
+) -> (&'a [E], &'a [E]) {
+    (
+        &query.elements()[q_range.clone()],
+        &db_seq.elements()[x_range.clone()],
+    )
 }
 
 fn pairs<'a, E: Element>(

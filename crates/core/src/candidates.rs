@@ -204,11 +204,7 @@ pub fn build_candidates(
                 b.query_range.start,
                 b.query_range.end,
             ))
-            .then(
-                a.total_distance
-                    .partial_cmp(&b.total_distance)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .then(a.total_distance.total_cmp(&b.total_distance))
     });
     candidates.dedup_by(|next, kept| {
         kept.sequence == next.sequence
@@ -218,11 +214,7 @@ pub fn build_candidates(
     candidates.sort_by(|a, b| {
         b.chain_len
             .cmp(&a.chain_len)
-            .then(
-                a.total_distance
-                    .partial_cmp(&b.total_distance)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
+            .then(a.total_distance.total_cmp(&b.total_distance))
             .then(a.sequence.0.cmp(&b.sequence.0))
             .then(a.window_range.0.cmp(&b.window_range.0))
     });

@@ -5,9 +5,9 @@
 //! query subsequence may start up to `λ/2 + λ0` before the matched segment and
 //! end up to `λ/2 + λ0` after it, and the database subsequence may extend by
 //! up to `λ/2` on each side of the matched windows. [`enumerate_pairs`]
-//! produces the resulting `(query range, database range)` combinations in
-//! decreasing order of query-subsequence length, so that a Type II search can
-//! stop at the first verified pair.
+//! yields the resulting `(query range, database range)` combinations one at
+//! a time in decreasing order of query-subsequence length, so that a Type II
+//! search stops at the first verified pair — and stops the enumeration there.
 
 use std::ops::Range;
 
@@ -16,7 +16,7 @@ use crate::config::FrameworkConfig;
 
 /// Clamped expansion limits of a candidate within its query and database
 /// sequences.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ExpansionLimits {
     /// Allowed query start offsets (inclusive range of half-open range starts).
     pub query_start: Range<usize>,
@@ -54,58 +54,67 @@ impl ExpansionLimits {
     }
 }
 
-/// Enumerates candidate `(query range, database range)` pairs for
-/// verification, ordered by decreasing query-subsequence length.
+/// Enumerates the `(query range, database range)` pairs of a candidate for
+/// verification, lazily: by decreasing query-subsequence length, then
+/// decreasing database-subsequence length, then increasing query start, then
+/// increasing database start. Nothing is built or sorted, so a caller that
+/// stops verifying — Type II at the first length it cannot beat, any query
+/// at its budget — stops the enumeration with it.
 ///
 /// Only pairs satisfying the framework's constraints are produced:
-/// `|SQ| ≥ λ`, `|SX| ≥ λ` and `||SQ| − |SX|| ≤ λ0`.
+/// `|SQ| ≥ λ`, `|SX| ≥ λ` and `||SQ| − |SX|| ≤ λ0`, with start and end
+/// points inside the candidate's [`ExpansionLimits`].
 pub fn enumerate_pairs(
     candidate: &Candidate,
     config: &FrameworkConfig,
     query_len: usize,
     db_seq_len: usize,
-) -> Vec<(Range<usize>, Range<usize>)> {
-    let limits = ExpansionLimits::new(candidate, config, query_len, db_seq_len);
-    let lambda = config.lambda;
-    let shift = config.max_shift as i64;
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    pairs_within(
+        ExpansionLimits::new(candidate, config, query_len, db_seq_len),
+        config.lambda,
+        config.max_shift,
+    )
+}
 
-    let mut pairs: Vec<(Range<usize>, Range<usize>)> = Vec::new();
-    for qs in limits.query_start.clone() {
-        for qe in limits.query_end.clone() {
-            if qe <= qs || qe > query_len {
-                continue;
-            }
-            let q_len = qe - qs;
-            if q_len < lambda {
-                continue;
-            }
-            for xs in limits.db_start.clone() {
-                for xe in limits.db_end.clone() {
-                    if xe <= xs || xe > db_seq_len {
-                        continue;
-                    }
-                    let x_len = xe - xs;
-                    if x_len < lambda {
-                        continue;
-                    }
-                    if (q_len as i64 - x_len as i64).abs() > shift {
-                        continue;
-                    }
-                    pairs.push((qs..qe, xs..xe));
-                }
-            }
-        }
-    }
-    pairs.sort_by(|a, b| {
-        let qa = a.0.end - a.0.start;
-        let qb = b.0.end - b.0.start;
-        qb.cmp(&qa).then_with(|| {
-            let xa = a.1.end - a.1.start;
-            let xb = b.1.end - b.1.start;
-            xb.cmp(&xa)
+/// [`enumerate_pairs`] over limits already computed.
+pub(crate) fn pairs_within(
+    limits: ExpansionLimits,
+    lambda: usize,
+    max_shift: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let ExpansionLimits {
+        query_start,
+        query_end,
+        db_start,
+        db_end,
+    } = limits;
+    let min_len = lambda.max(1);
+    // Upper bounds only: `starts_of_length` keeps the pairs inside the limits.
+    let longest_q = (query_end.end - 1).saturating_sub(query_start.start);
+    let longest_x = (db_end.end - 1).saturating_sub(db_start.start);
+    (min_len..=longest_q).rev().flat_map(move |q_len| {
+        let starts_q = starts_of_length(&query_start, &query_end, q_len);
+        let (db_start, db_end) = (db_start.clone(), db_end.clone());
+        let longest = longest_x.min(q_len.saturating_add(max_shift));
+        let shortest = min_len.max(q_len.saturating_sub(max_shift));
+        (shortest..=longest).rev().flat_map(move |x_len| {
+            let starts_x = starts_of_length(&db_start, &db_end, x_len);
+            starts_q.clone().flat_map(move |qs| {
+                starts_x
+                    .clone()
+                    .map(move |xs| (qs..qs + q_len, xs..xs + x_len))
+            })
         })
-    });
-    pairs
+    })
+}
+
+/// The start offsets within `starts` whose range of length `len` ends within
+/// `ends`.
+fn starts_of_length(starts: &Range<usize>, ends: &Range<usize>, len: usize) -> Range<usize> {
+    let first = starts.start.max(ends.start.saturating_sub(len));
+    let last = starts.end.min(ends.end.saturating_sub(len));
+    first..last.max(first)
 }
 
 #[cfg(test)]
@@ -128,6 +137,82 @@ mod tests {
         FrameworkConfig::new(lambda).with_max_shift(shift)
     }
 
+    type Pairs = Vec<(Range<usize>, Range<usize>)>;
+
+    fn pairs(cand: &Candidate, cfg: &FrameworkConfig, query_len: usize, db_len: usize) -> Pairs {
+        enumerate_pairs(cand, cfg, query_len, db_len).collect()
+    }
+
+    /// The enumeration as it was before it became lazy — every combination
+    /// of the limits in nested-loop order, filtered, then stably sorted —
+    /// kept here as the definition of the order.
+    fn eager_pairs(
+        cand: &Candidate,
+        cfg: &FrameworkConfig,
+        query_len: usize,
+        db_len: usize,
+    ) -> Pairs {
+        let limits = ExpansionLimits::new(cand, cfg, query_len, db_len);
+        let mut pairs = Pairs::new();
+        for qs in limits.query_start.clone() {
+            for qe in limits.query_end.clone() {
+                for xs in limits.db_start.clone() {
+                    for xe in limits.db_end.clone() {
+                        if qe <= qs || qe > query_len || xe <= xs || xe > db_len {
+                            continue;
+                        }
+                        let (q_len, x_len) = (qe - qs, xe - xs);
+                        if q_len >= cfg.lambda
+                            && x_len >= cfg.lambda
+                            && q_len.abs_diff(x_len) <= cfg.max_shift
+                        {
+                            pairs.push((qs..qe, xs..xe));
+                        }
+                    }
+                }
+            }
+        }
+        pairs.sort_by(|a, b| (b.0.len().cmp(&a.0.len())).then_with(|| b.1.len().cmp(&a.1.len())));
+        pairs
+    }
+
+    #[test]
+    fn lazy_enumeration_equals_the_eager_sorted_list() {
+        // Mid-sequence, clamped at either edge of the query and of the
+        // database sequence, sequences too short for any pair, unequal chain
+        // extents, and no length difference allowed at all.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize % bound
+        };
+        let mut compared = 0usize;
+        for round in 0..1000 {
+            let lambda = 2 * (1 + next(6));
+            let shift = if round % 5 == 0 { 0 } else { next(4) };
+            let cfg = config(lambda, shift);
+            // Every fourth case may be too short for any pair at all.
+            let floor = if round % 4 == 0 { 1 } else { lambda };
+            let query_len = floor + next(4 * lambda);
+            let db_len = floor + next(5 * lambda);
+            let q_start = next(query_len);
+            let x_start = next(db_len);
+            let q_end = (q_start + 1 + next(2 * lambda)).min(query_len);
+            let x_end = (x_start + 1 + next(2 * lambda)).min(db_len);
+            let cand = candidate(x_start..x_end, q_start..q_end, 1 + next(3));
+            let lazy = pairs(&cand, &cfg, query_len, db_len);
+            assert_eq!(
+                lazy,
+                eager_pairs(&cand, &cfg, query_len, db_len),
+                "lambda {lambda} shift {shift} query {query_len} db {db_len} {cand:?}"
+            );
+            compared += lazy.len();
+        }
+        assert!(compared > 10_000, "only {compared} pairs compared");
+    }
+
     #[test]
     fn limits_are_clamped_to_sequence_bounds() {
         let cfg = config(8, 1);
@@ -143,7 +228,7 @@ mod tests {
     fn pairs_respect_length_constraints() {
         let cfg = config(8, 1);
         let cand = candidate(4..12, 3..11, 2);
-        let pairs = enumerate_pairs(&cand, &cfg, 20, 30);
+        let pairs = pairs(&cand, &cfg, 20, 30);
         assert!(!pairs.is_empty());
         for (q, x) in &pairs {
             assert!(q.end - q.start >= 8);
@@ -159,7 +244,7 @@ mod tests {
     fn pairs_are_sorted_by_decreasing_query_length() {
         let cfg = config(8, 2);
         let cand = candidate(4..12, 3..11, 2);
-        let pairs = enumerate_pairs(&cand, &cfg, 25, 40);
+        let pairs = pairs(&cand, &cfg, 25, 40);
         let lengths: Vec<usize> = pairs.iter().map(|(q, _)| q.end - q.start).collect();
         for w in lengths.windows(2) {
             assert!(w[0] >= w[1], "not sorted: {lengths:?}");
@@ -171,7 +256,7 @@ mod tests {
         let cfg = config(16, 1);
         let cand = candidate(0..8, 0..8, 1);
         // The query is only 10 long: no subsequence of length >= 16 exists.
-        let pairs = enumerate_pairs(&cand, &cfg, 10, 100);
+        let pairs = pairs(&cand, &cfg, 10, 100);
         assert!(pairs.is_empty());
     }
 
@@ -181,7 +266,7 @@ mod tests {
         // pair extending a few elements on either side.
         let cfg = config(16, 2);
         let cand = candidate(10..30, 5..25, 2);
-        let pairs = enumerate_pairs(&cand, &cfg, 40, 60);
+        let pairs = pairs(&cand, &cfg, 40, 60);
         assert!(
             pairs.iter().any(|(q, x)| *q == (3..27) && *x == (8..32)),
             "expected expanded pair to be enumerated"

@@ -3,12 +3,12 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use ssr_distance::SequenceDistance;
+use ssr_distance::{EndSpec, SequenceDistance};
 use ssr_sequence::{Element, Sequence, SequenceId};
 
 use crate::candidates::{build_candidates, Candidate, SegmentMatch};
 use crate::database::SubsequenceDatabase;
-use crate::expand::enumerate_pairs;
+use crate::expand::{pairs_within, ExpansionLimits};
 
 /// A verified pair of similar subsequences.
 #[derive(Clone, PartialEq, Debug)]
@@ -33,23 +33,6 @@ impl SubsequenceMatch {
     pub fn query_len(&self) -> usize {
         self.query_range.end - self.query_range.start
     }
-}
-
-/// Borrows the two element slices of one candidate pair `(SQ, SX)`: the
-/// query subsequence and the database subsequence, both as views into their
-/// owning sequences. The single extraction point shared by the verification
-/// step and the brute-force ground truths — every kernel invocation on a
-/// candidate pair goes through here, and nothing is copied.
-pub(crate) fn pair_slices<'a, E: Element>(
-    query: &'a Sequence<E>,
-    db_seq: &'a Sequence<E>,
-    q_range: &Range<usize>,
-    x_range: &Range<usize>,
-) -> (&'a [E], &'a [E]) {
-    (
-        &query.elements()[q_range.clone()],
-        &db_seq.elements()[x_range.clone()],
-    )
 }
 
 /// Accounting of the work a query performed, mirroring the quantities the
@@ -196,6 +179,12 @@ impl ExecCtx {
 /// the stage's time, cells and prunes when finished. The expansion grids of
 /// overlapping candidates repeat pairs; `seen` makes sure each is verified
 /// (and charged) only once.
+///
+/// A pair's distance is not computed pair by pair. All pairs of a candidate
+/// that start at the same `(qs, xs)` are prefixes of one another's inputs, so
+/// one [`SequenceDistance::end_table`] from that start — run when the first
+/// of them gets past the lower bounds — holds the distance of every one, and
+/// the rest are reads.
 struct Verifier<'a, E: Element, D: SequenceDistance<E>> {
     db: &'a SubsequenceDatabase<E, D>,
     query: &'a Sequence<E>,
@@ -210,7 +199,21 @@ struct Verifier<'a, E: Element, D: SequenceDistance<E>> {
     started: Instant,
     cells_before: u64,
     prunes_before: u64,
+    /// The candidate being expanded ([`Self::expand`]): its sequence, its
+    /// limits and its end tables, which are dropped at the next candidate.
+    sequence: SequenceId,
+    db_elements: &'a [E],
+    limits: ExpansionLimits,
+    /// Where in `tables` the table of each start pair begins, row-major over
+    /// `limits.query_start × limits.db_start`; [`NO_TABLE`] until computed.
+    table_of_start: Vec<usize>,
+    /// The tables computed for this candidate, back to back. Each has one
+    /// slot per `limits.query_end × limits.db_end` end pair.
+    tables: Vec<f64>,
 }
+
+/// [`Verifier::table_of_start`] of a start pair nothing has asked about yet.
+const NO_TABLE: usize = usize::MAX;
 
 impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
     fn start(db: &'a SubsequenceDatabase<E, D>, query: &'a Sequence<E>, epsilon: f64) -> Self {
@@ -231,20 +234,48 @@ impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
             started: Instant::now(),
             cells_before: ssr_distance::dp_cells_thread_total(),
             prunes_before: ssr_distance::lower_bound_prunes_thread_total(),
+            sequence: SequenceId(0),
+            db_elements: &[],
+            limits: ExpansionLimits::default(),
+            table_of_start: Vec::new(),
+            tables: Vec::new(),
         }
     }
 
-    /// The pair as a match when it is new and verifies within `epsilon`.
-    /// `None` for a repeated pair, a pair beyond the radius, or — with
-    /// [`Self::exhausted`] set — a new pair the budget no longer covers.
-    fn verify(
+    /// Makes `candidate` the one being verified and returns its pairs in
+    /// verification order ([`enumerate_pairs`]); `None` when its sequence is
+    /// no longer stored.
+    ///
+    /// [`enumerate_pairs`]: crate::expand::enumerate_pairs
+    fn expand(
         &mut self,
-        sequence: SequenceId,
-        q_range: Range<usize>,
-        x_range: Range<usize>,
-    ) -> Option<SubsequenceMatch> {
+        candidate: &Candidate,
+    ) -> Option<impl Iterator<Item = (Range<usize>, Range<usize>)>> {
+        let config = self.db.config();
+        let db_seq = self.db.sequence(candidate.sequence)?;
+        self.sequence = candidate.sequence;
+        self.db_elements = db_seq.elements();
+        self.limits = ExpansionLimits::new(candidate, config, self.query.len(), db_seq.len());
+        self.tables.clear();
+        self.table_of_start.clear();
+        self.table_of_start.resize(
+            self.limits.query_start.len() * self.limits.db_start.len(),
+            NO_TABLE,
+        );
+        Some(pairs_within(
+            self.limits.clone(),
+            config.lambda,
+            config.max_shift,
+        ))
+    }
+
+    /// The pair — one of the current candidate's — as a match when it is new
+    /// and verifies within `epsilon`. `None` for a repeated pair, a pair
+    /// beyond the radius, or — with [`Self::exhausted`] set — a new pair the
+    /// budget no longer covers.
+    fn verify(&mut self, q_range: Range<usize>, x_range: Range<usize>) -> Option<SubsequenceMatch> {
         let key = (
-            sequence,
+            self.sequence,
             q_range.start,
             q_range.end,
             x_range.start,
@@ -259,47 +290,33 @@ impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
         }
         self.budget -= 1;
         self.calls += 1;
-        let distance = self.distance_within(sequence, &q_range, &x_range);
+        let distance = self.distance_within(&q_range, &x_range);
         (distance <= self.epsilon).then_some(SubsequenceMatch {
-            sequence,
+            sequence: self.sequence,
             db_range: x_range,
             query_range: q_range,
             distance,
         })
     }
 
-    /// The distance of one candidate pair if it is within `epsilon`, else
-    /// `f64::INFINITY`. Runs the pruning cascade first: an exact length lower
-    /// bound, then an exact gap-sum lower bound from the precomputed prefix
-    /// tables (both `O(1)` per pair), then the threshold-aware kernel with
-    /// the threshold clamped to the measure's `max_distance` so short pairs
-    /// never get pointlessly wide bands.
-    fn distance_within(
-        &self,
-        sequence: SequenceId,
-        q_range: &Range<usize>,
-        x_range: &Range<usize>,
-    ) -> f64 {
+    /// The distance of one pair of the current candidate if it is within
+    /// `epsilon`, else `f64::INFINITY`. Runs the pruning cascade first: an
+    /// exact length lower bound, then an exact gap-sum lower bound from the
+    /// precomputed prefix tables (both `O(1)` per pair), against the
+    /// threshold clamped to the measure's `max_distance` for this pair's
+    /// lengths. A pair that survives is read from the end table of its start.
+    fn distance_within(&mut self, q_range: &Range<usize>, x_range: &Range<usize>) -> f64 {
         let db = self.db;
-        let db_seq = db
-            .sequence(sequence)
-            .expect("candidate references a stored sequence");
-        let q_len = q_range.end - q_range.start;
-        let x_len = x_range.end - x_range.start;
-        // Clamp: distances never exceed max_distance(len), so a wider band
-        // cannot admit anything more (a prune against the clamped threshold
-        // implies a prune against the unclamped one, because every distance
-        // is ≤ the clamp).
-        let tau = match db.distance.max_distance(q_len.max(x_len)) {
-            Some(bound) => self.epsilon.min(bound),
-            None => self.epsilon,
-        };
         if ssr_distance::pruning_enabled() {
+            let (q_len, x_len) = (q_range.len(), x_range.len());
+            let tau = self.clamped_epsilon(q_len.max(x_len));
             let mut lower = db.distance.length_lower_bound(q_len, x_len);
             if let (Some(qg), Some(prefixes)) = (&self.query_gap, &db.gap_prefixes) {
                 if let (Some(sum_q), Some(sum_x)) = (
                     qg.range_sum(q_range),
-                    prefixes.get(sequence.0).and_then(|p| p.range_sum(x_range)),
+                    prefixes
+                        .get(self.sequence.0)
+                        .and_then(|p| p.range_sum(x_range)),
                 ) {
                     lower = lower.max(db.distance.gap_sum_lower_bound(sum_q, sum_x));
                 }
@@ -315,10 +332,48 @@ impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
                 return f64::INFINITY;
             }
         }
-        let (sq, sx) = pair_slices(self.query, db_seq, q_range, x_range);
-        db.distance
-            .distance_within(sq, sx, tau)
-            .unwrap_or(f64::INFINITY)
+        self.table_read(q_range, x_range)
+    }
+
+    /// `epsilon` clamped to what the measure can reach on inputs of at most
+    /// `len` elements: distances never exceed `max_distance(len)`, so a wider
+    /// threshold cannot admit anything more (a prune against the clamped
+    /// threshold implies a prune against the unclamped one), and short inputs
+    /// never get pointlessly wide bands.
+    fn clamped_epsilon(&self, len: usize) -> f64 {
+        match self.db.distance.max_distance(len) {
+            Some(bound) => self.epsilon.min(bound),
+            None => self.epsilon,
+        }
+    }
+
+    /// The pair's slot in the end table of its start pair, which is computed
+    /// here if this is the first read from that start: one program from
+    /// `(qs, xs)` to the farthest end points the candidate's limits allow.
+    fn table_read(&mut self, q_range: &Range<usize>, x_range: &Range<usize>) -> f64 {
+        let limits = &self.limits;
+        let start = (q_range.start - limits.query_start.start) * limits.db_start.len()
+            + (x_range.start - limits.db_start.start);
+        let a = &self.query.elements()[q_range.start..limits.query_end.end - 1];
+        let b = &self.db_elements[x_range.start..limits.db_end.end - 1];
+        // Rows and columns are the end points of the limits, whatever the
+        // start: the shortest wanted prefix ends at the first of them.
+        let ends = EndSpec {
+            min_a: limits.query_end.start - q_range.start,
+            min_b: limits.db_end.start - x_range.start,
+            max_len_diff: self.db.config().max_shift,
+        };
+        if self.table_of_start[start] == NO_TABLE {
+            let begin = self.tables.len();
+            self.tables
+                .resize(begin + ends.slots(a.len(), b.len()), f64::INFINITY);
+            let tau = self.clamped_epsilon(a.len().max(b.len()));
+            self.db
+                .distance
+                .end_table(a, b, ends, tau, &mut self.tables[begin..]);
+            self.table_of_start[start] = begin;
+        }
+        self.tables[self.table_of_start[start] + ends.slot(b.len(), q_range.len(), x_range.len())]
     }
 
     /// Adds the stage's work to `stats` and its wall-clock to `ctx`.
@@ -375,13 +430,11 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         let mut verifier = Verifier::start(self, query, epsilon);
         let mut results: Vec<SubsequenceMatch> = Vec::new();
         'outer: for candidate in &candidates {
-            let seq_len = match self.sequence(candidate.sequence) {
-                Some(s) => s.len(),
-                None => continue,
+            let Some(pairs) = verifier.expand(candidate) else {
+                continue;
             };
-            let pairs = enumerate_pairs(candidate, self.config(), query.len(), seq_len);
             for (q_range, x_range) in pairs {
-                let found = verifier.verify(candidate.sequence, q_range, x_range);
+                let found = verifier.verify(q_range, x_range);
                 if verifier.exhausted {
                     break 'outer;
                 }
@@ -436,20 +489,18 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                     continue;
                 }
             }
-            let seq_len = match self.sequence(candidate.sequence) {
-                Some(s) => s.len(),
-                None => continue,
+            let Some(pairs) = verifier.expand(candidate) else {
+                continue;
             };
-            let pairs = enumerate_pairs(candidate, self.config(), query.len(), seq_len);
             for (q_range, x_range) in pairs {
                 if let Some(ref b) = best {
                     if q_range.end - q_range.start <= b.query_len() {
-                        // Pairs are sorted by decreasing |SQ|; nothing better
+                        // Pairs come by decreasing |SQ|; nothing better
                         // remains within this candidate.
                         break;
                     }
                 }
-                if let Some(m) = verifier.verify(candidate.sequence, q_range, x_range) {
+                if let Some(m) = verifier.verify(q_range, x_range) {
                     best = Some(m);
                 }
                 if verifier.exhausted {

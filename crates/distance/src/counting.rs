@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use ssr_sequence::Element;
 
+use crate::end_table::EndSpec;
 use crate::traits::{DistanceProperties, SequenceDistance};
 
 thread_local! {
@@ -215,6 +216,12 @@ impl<E: Element, D: SequenceDistance<E>> SequenceDistance<E> for CountingDistanc
     fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
         self.counter.record();
         self.inner.distance_within(a, b, tau)
+    }
+
+    /// Counted as one evaluation: one run of the measure's program.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        self.counter.record();
+        self.inner.end_table(a, b, ends, tau, out)
     }
 
     fn name(&self) -> &'static str {

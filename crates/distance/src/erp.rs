@@ -4,6 +4,7 @@ use ssr_sequence::Element;
 
 use crate::alignment::{Alignment, Coupling};
 use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::end_table::{EndSink, EndSpec};
 use crate::lower_bounds::{erp_lower_bound_from_sums, scan_gap_costs};
 use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
@@ -124,6 +125,73 @@ impl<E: Element> SequenceDistance<E> for Erp {
             } else {
                 None
             }
+        })
+    }
+
+    /// The program of [`Self::distance_within`] over all of `a` and `b`,
+    /// every row handed to the sink. The band comes from the smallest gap
+    /// cost of the whole inputs, which is no larger than that of any prefix
+    /// pair, so it contains each pair's own band; it is taken, as there,
+    /// only when every cost is integral and the arithmetic therefore exact.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        let gap = E::gap();
+        let n = a.len();
+        let m = b.len();
+        let mut sink = EndSink::new(out, ends, n, m, tau);
+        let prune = pruning_enabled();
+        let mut k = n.max(m);
+        if prune && tau >= 0.0 && tau.is_finite() {
+            let scan_a = scan_gap_costs(a);
+            let scan_b = scan_gap_costs(b);
+            let min_gap = scan_a.min_cost.min(scan_b.min_cost);
+            if scan_a.integral && scan_b.integral && min_gap > 0.0 {
+                k = ((tau / min_gap).floor() as usize).min(k);
+            }
+        }
+        DistanceWorkspace::with(|ws| {
+            let (prev, curr) = ws.f64_rows(m + 1, f64::INFINITY);
+            prev[0] = 0.0;
+            let mut acc = 0.0f64;
+            for j in 1..=m.min(k) {
+                acc += b[j - 1].ground_distance(&gap);
+                prev[j] = acc;
+            }
+            sink.row(0, 0..=m.min(k), |j| prev[j]);
+            let mut a_prefix = 0.0f64;
+            let mut cells = 0u64;
+            for (i, ai) in a.iter().enumerate() {
+                let i = i + 1;
+                a_prefix += ai.ground_distance(&gap);
+                let lo = i.saturating_sub(k).max(1);
+                let hi = m.min(i + k);
+                let edge_in_band = lo == 1 && i <= k;
+                curr[lo - 1] = if edge_in_band {
+                    a_prefix
+                } else {
+                    f64::INFINITY
+                };
+                let mut row_min = curr[lo - 1];
+                for j in lo..=hi {
+                    let bj = &b[j - 1];
+                    let match_cost = prev[j - 1] + ai.ground_distance(bj);
+                    let gap_a = prev[j] + ai.ground_distance(&gap);
+                    let gap_b = curr[j - 1] + bj.ground_distance(&gap);
+                    let value = match_cost.min(gap_a).min(gap_b);
+                    curr[j] = value;
+                    row_min = row_min.min(value);
+                }
+                cells += (hi + 1 - lo) as u64;
+                if hi < m {
+                    curr[hi + 1] = f64::INFINITY;
+                }
+                if prune && crate::counting::exceeds(row_min, tau) {
+                    break;
+                }
+                let first = if edge_in_band { 0 } else { lo };
+                sink.row(i, first..=hi, |j| curr[j]);
+                std::mem::swap(prev, curr);
+            }
+            record_dp_cells(cells);
         })
     }
 

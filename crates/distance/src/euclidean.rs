@@ -3,6 +3,7 @@
 use ssr_sequence::Element;
 
 use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::end_table::{EndSink, EndSpec};
 use crate::traits::{DistanceProperties, SequenceDistance};
 
 /// The Euclidean distance `δE(Q, X) = (Σ_m ground(q_m, x_m)²)^(1/2)`.
@@ -70,6 +71,29 @@ impl<E: Element> SequenceDistance<E> for Euclidean {
         } else {
             None
         }
+    }
+
+    /// One pass along the diagonal: only prefixes of equal length are at a
+    /// finite distance, and the running sum after `i` terms is the one
+    /// [`Self::distance_within`] reaches on `(a[..i], b[..i])`. The abandon
+    /// ends the table, as the sum only grows.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        let mut sink = EndSink::new(out, ends, a.len(), b.len(), tau);
+        sink.row(0, 0..=0, |_| 0.0);
+        let prune = pruning_enabled();
+        let tau_sq = tau * tau;
+        let mut sum_sq = 0.0f64;
+        let mut cells = 0u64;
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            let g = x.ground_distance(y);
+            sum_sq += g * g;
+            cells += 1;
+            if prune && sum_sq > tau_sq && crate::counting::exceeds(sum_sq.sqrt(), tau) {
+                break;
+            }
+            sink.row(i + 1, i + 1..=i + 1, |_| sum_sq.sqrt());
+        }
+        record_dp_cells(cells);
     }
 
     fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {

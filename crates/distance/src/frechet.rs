@@ -4,6 +4,7 @@ use ssr_sequence::Element;
 
 use crate::alignment::{Alignment, Coupling};
 use crate::counting::{pruning_enabled, record_dp_cells};
+use crate::end_table::{EndSink, EndSpec};
 use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
 
@@ -86,6 +87,51 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
             } else {
                 None
             }
+        })
+    }
+
+    /// The program of [`Self::distance_within`] over all of `a` and `b`,
+    /// every row handed to the sink. An empty prefix is at distance `∞` from
+    /// a non-empty one, so besides `(0, 0)` only rows and columns from 1 on
+    /// can hold a finite value.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        let m = b.len();
+        let mut sink = EndSink::new(out, ends, a.len(), m, tau);
+        sink.row(0, 0..=0, |_| 0.0);
+        let prune = pruning_enabled();
+        DistanceWorkspace::with(|ws| {
+            let (prev, curr) = ws.f64_rows(m, f64::INFINITY);
+            let mut cells = 0u64;
+            for (i, ai) in a.iter().enumerate() {
+                let mut row_min = f64::INFINITY;
+                for (j, bj) in b.iter().enumerate() {
+                    let cost = ai.ground_distance(bj);
+                    let reach = if i == 0 && j == 0 {
+                        cost
+                    } else {
+                        let mut best = f64::INFINITY;
+                        if i > 0 {
+                            best = best.min(prev[j]);
+                        }
+                        if j > 0 {
+                            best = best.min(curr[j - 1]);
+                        }
+                        if i > 0 && j > 0 {
+                            best = best.min(prev[j - 1]);
+                        }
+                        best.max(cost)
+                    };
+                    curr[j] = reach;
+                    row_min = row_min.min(reach);
+                }
+                cells += m as u64;
+                if prune && crate::counting::exceeds(row_min, tau) {
+                    break;
+                }
+                sink.row(i + 1, 1..=m, |j| curr[j - 1]);
+                std::mem::swap(prev, curr);
+            }
+            record_dp_cells(cells);
         })
     }
 

@@ -3,6 +3,7 @@
 use ssr_sequence::Element;
 
 use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::end_table::{EndSink, EndSpec};
 use crate::traits::{DistanceProperties, SequenceDistance};
 
 /// The Hamming distance: the number of positions at which two equal-length
@@ -59,6 +60,27 @@ impl<E: Element> SequenceDistance<E> for Hamming {
         } else {
             None
         }
+    }
+
+    /// One pass along the diagonal: only prefixes of equal length are at a
+    /// finite distance, and the mismatch count after `i` positions is that of
+    /// `(a[..i], b[..i])`. The abandon ends the table, as the count only
+    /// grows.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        let mut sink = EndSink::new(out, ends, a.len(), b.len(), tau);
+        sink.row(0, 0..=0, |_| 0.0);
+        let prune = pruning_enabled();
+        let mut mismatches = 0u64;
+        let mut cells = 0u64;
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            mismatches += u64::from(x != y);
+            cells += 1;
+            if prune && crate::counting::exceeds(mismatches as f64, tau) {
+                break;
+            }
+            sink.row(i + 1, i + 1..=i + 1, |_| mismatches as f64);
+        }
+        record_dp_cells(cells);
     }
 
     fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {

@@ -4,6 +4,7 @@ use ssr_sequence::Element;
 
 use crate::alignment::{Alignment, Coupling};
 use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::end_table::{EndSink, EndSpec};
 use crate::lower_bounds::length_difference_lower_bound;
 use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
@@ -108,6 +109,59 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
             } else {
                 None
             }
+        })
+    }
+
+    /// The banded program of [`Self::distance_within`] over all of `a` and
+    /// `b`, every row handed to the sink. A cell inside the band holds its
+    /// prefix pair's exact distance whenever that is `≤ τ` (a path of cost
+    /// `≤ τ` never leaves the band), and a value above `τ` otherwise.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        let n = a.len();
+        let m = b.len();
+        let mut sink = EndSink::new(out, ends, n, m, tau);
+        let prune = pruning_enabled();
+        let k = if prune && tau >= 0.0 && tau.is_finite() {
+            (tau.floor() as usize).min(n.max(m))
+        } else {
+            n.max(m)
+        };
+        DistanceWorkspace::with(|ws| {
+            let (prev, curr) = ws.u32_rows(m + 1, BAND_INF);
+            for (j, cell) in prev.iter_mut().enumerate().take(m.min(k) + 1) {
+                *cell = j as u32;
+            }
+            sink.row(0, 0..=m.min(k), |j| f64::from(prev[j]));
+            let mut cells = 0u64;
+            for (i, ai) in a.iter().enumerate() {
+                let i = i + 1;
+                let lo = i.saturating_sub(k).max(1);
+                let hi = m.min(i + k);
+                let edge_in_band = lo == 1 && i <= k;
+                curr[lo - 1] = if edge_in_band { i as u32 } else { BAND_INF };
+                // Column 0 counts towards the minimum here: it is an end
+                // point of its own when `b`'s empty prefix is wanted.
+                let mut row_min = curr[lo - 1];
+                for j in lo..=hi {
+                    let sub_cost = if *ai == b[j - 1] { 0 } else { 1 };
+                    let value = (prev[j - 1] + sub_cost)
+                        .min(prev[j] + 1)
+                        .min(curr[j - 1] + 1);
+                    curr[j] = value;
+                    row_min = row_min.min(value);
+                }
+                cells += (hi + 1 - lo) as u64;
+                if hi < m {
+                    curr[hi + 1] = BAND_INF;
+                }
+                if prune && crate::counting::exceeds(f64::from(row_min), tau) {
+                    break;
+                }
+                let first = if edge_in_band { 0 } else { lo };
+                sink.row(i, first..=hi, |j| f64::from(curr[j]));
+                std::mem::swap(prev, curr);
+            }
+            record_dp_cells(cells);
         })
     }
 

@@ -30,15 +30,19 @@
 //! lower bound first ([`lower_bounds`]), then a Ukkonen-style banded dynamic
 //! program (Levenshtein, and ERP under integral gap costs) with row-minimum
 //! early abandoning (all DP measures), or a running-sum abandon (Euclidean,
-//! Hamming). Scratch rows live in a per-thread [`DistanceWorkspace`], so the
-//! hot loop performs no allocation. The work is observable through
-//! deterministic per-thread tallies ([`dp_cells_thread_total`],
-//! [`lower_bound_prunes_thread_total`]) and can be switched off globally for
-//! ablations ([`set_pruning_enabled`]) without changing any result.
+//! Hamming). [`SequenceDistance::end_table`] runs the same program once over
+//! two inputs and keeps the distance of every wanted pair of their prefixes —
+//! what verification needs from one pair of start points. Scratch rows live
+//! in a per-thread [`DistanceWorkspace`], so the hot loop performs no
+//! allocation. The work is observable through deterministic per-thread
+//! tallies ([`dp_cells_thread_total`], [`lower_bound_prunes_thread_total`])
+//! and can be switched off globally for ablations ([`set_pruning_enabled`])
+//! without changing any result.
 
 pub mod alignment;
 pub mod counting;
 pub mod dtw;
+pub mod end_table;
 pub mod erp;
 pub mod euclidean;
 pub mod frechet;
@@ -54,6 +58,7 @@ pub use counting::{
     record_lower_bound_prune, set_pruning_enabled, CallCounter, CellCounter, CountingDistance,
 };
 pub use dtw::Dtw;
+pub use end_table::EndSpec;
 pub use erp::Erp;
 pub use euclidean::Euclidean;
 pub use frechet::DiscreteFrechet;

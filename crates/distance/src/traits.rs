@@ -3,6 +3,7 @@
 use ssr_sequence::Element;
 
 use crate::alignment::Alignment;
+use crate::end_table::EndSpec;
 
 /// Static properties of a distance measure relevant to the framework.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,6 +62,41 @@ pub trait SequenceDistance<E: Element>: Send + Sync {
             Some(d)
         } else {
             None
+        }
+    }
+
+    /// The distances of **every** wanted pair of prefixes at once: fills
+    /// `out[ends.slot(b.len(), i, j)]` with
+    /// `distance_within(&a[..i], &b[..j], tau)` — bit-identical when that is
+    /// `Some`, `∞` when it is `None` — for each slot of `ends` with
+    /// `|i − j| ≤ ends.max_len_diff`, and with `∞` for the others.
+    ///
+    /// Every built-in measure is a prefix dynamic program — cell `(i, j)` of
+    /// the run over `(a, b)` *is* `distance(&a[..i], &b[..j])` — so one run
+    /// answers all the end points that verification tries from one pair of
+    /// start points; the built-ins capture their rows as they are produced.
+    /// Band and abandon are those of [`Self::distance_within`], taken over
+    /// the whole of `a` and `b`: a band derived from the longest inputs
+    /// contains the band of every prefix pair, and a row whose minimum
+    /// exceeds `tau` bounds every later cell from below, so the abandon ends
+    /// the whole table. No lower bound is tried (and none tallied): the
+    /// caller knows each pair's lengths and sums and bounds it first. This
+    /// default asks [`Self::distance_within`] slot by slot, so a measure
+    /// that only defines [`Self::distance`] is still answered correctly.
+    ///
+    /// # Panics
+    /// When `out.len() != ends.slots(a.len(), b.len())`.
+    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), ends.slots(a.len(), b.len()), "end table size");
+        for i in ends.min_a..=a.len() {
+            for j in ends.min_b..=b.len() {
+                out[ends.slot(b.len(), i, j)] = if i.abs_diff(j) <= ends.max_len_diff {
+                    self.distance_within(&a[..i], &b[..j], tau)
+                        .unwrap_or(f64::INFINITY)
+                } else {
+                    f64::INFINITY
+                };
+            }
         }
     }
 
@@ -123,6 +159,10 @@ macro_rules! forward_sequence_distance {
 
             fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
                 (**self).distance_within(a, b, tau)
+            }
+
+            fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
+                (**self).end_table(a, b, ends, tau, out)
             }
 
             fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {

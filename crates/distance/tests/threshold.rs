@@ -5,9 +5,13 @@
 //! adversarial band boundary `|len(a) − len(b)| ≈ τ` where an off-by-one in
 //! the Ukkonen band would first show.
 
+mod common;
+
 use proptest::prelude::*;
 
-use ssr_distance::{DiscreteFrechet, Dtw, Erp, Euclidean, Hamming, Levenshtein, SequenceDistance};
+use ssr_distance::{
+    DiscreteFrechet, Dtw, EndSpec, Erp, Euclidean, Hamming, Levenshtein, SequenceDistance,
+};
 use ssr_sequence::{Element, Pitch, Point2D, Symbol};
 
 /// Thresholds worth probing for a pair whose true distance is `d`: below,
@@ -90,8 +94,43 @@ fn point_seq(max_len: usize) -> impl Strategy<Value = Vec<Point2D>> {
     )
 }
 
+/// End ranges for inputs of the given lengths: minimum prefix lengths
+/// anywhere from empty to the whole input, and a length-difference bound
+/// that is tight, loose or absent.
+fn end_spec(a_len: usize, b_len: usize, seed: (usize, usize, usize)) -> EndSpec {
+    EndSpec {
+        min_a: seed.0 % (a_len + 1),
+        min_b: seed.1 % (b_len + 1),
+        max_len_diff: [0, 1, 2, 3, usize::MAX][seed.2 % 5],
+    }
+}
+
+fn end_seed() -> impl Strategy<Value = (usize, usize, usize)> {
+    (0usize..64, 0usize..64, 0usize..5)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn end_tables_on_symbols(a in symbol_seq(14), b in symbol_seq(14), seed in end_seed()) {
+        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+    }
+
+    #[test]
+    fn end_tables_on_pitches(a in pitch_seq(12), b in pitch_seq(12), seed in end_seed()) {
+        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+    }
+
+    #[test]
+    fn end_tables_on_scalars(a in scalar_seq(10), b in scalar_seq(10), seed in end_seed()) {
+        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+    }
+
+    #[test]
+    fn end_tables_on_trajectories(a in point_seq(10), b in point_seq(10), seed in end_seed()) {
+        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+    }
 
     #[test]
     fn threshold_contract_on_symbols(a in symbol_seq(14), b in symbol_seq(14)) {
