@@ -449,29 +449,42 @@ fn main() {
     });
 
     // Telemetry-overhead measurement: the identical sequential batch with
-    // the ssr-obs kill switch thrown vs recording enabled. min-of-5 on both
-    // sides absorbs scheduler noise; the outcomes (results AND stats) must
-    // be bit-identical either way — telemetry is observation only.
+    // the ssr-obs kill switch thrown vs recording enabled. One sample is the
+    // batch repeated until two seconds have passed, read as time per batch —
+    // host jitter is a fixed few milliseconds, so a sample must be long for
+    // 5 % of it to stand above that — and min-of-5 on both sides absorbs
+    // scheduler noise; the outcomes (results AND stats) must be
+    // bit-identical either way — telemetry is observation only.
+    const OBS_SAMPLE: Duration = Duration::from_secs(2);
     let mut obs_failures = 0usize;
     let obs_overhead = (opts.max_obs_overhead > 0.0).then(|| {
         let timed_run = || {
             let started = Instant::now();
-            let batch = QueryEngine::new(&db).batch_type2(&queries, epsilon);
-            (started.elapsed().as_nanos() as u64, batch)
-        };
-        let measure = |enabled: bool| {
-            ssr_obs::set_enabled(enabled);
-            let mut best_ns = u64::MAX;
-            let mut last = None;
-            for _ in 0..5 {
-                let (ns, batch) = timed_run();
-                best_ns = best_ns.min(ns);
-                last = Some(batch);
+            let mut batches = 0u64;
+            loop {
+                let batch = QueryEngine::new(&db).batch_type2(&queries, epsilon);
+                batches += 1;
+                if started.elapsed() >= OBS_SAMPLE {
+                    return (started.elapsed().as_nanos() as u64 / batches, batch);
+                }
             }
-            (best_ns, last.expect("five runs happened"))
         };
-        let (disabled_ns, disabled_batch) = measure(false);
-        let (enabled_ns, enabled_batch) = measure(true);
+        // The two sides take turns, and swap who goes first every round, so
+        // a machine that slows down over these twenty seconds slows both.
+        let mut best_ns = [u64::MAX; 2];
+        let mut last = [None, None];
+        for round in 0..5 {
+            for turn in 0..2 {
+                let enabled = (round + turn) % 2 == 1;
+                ssr_obs::set_enabled(enabled);
+                let (ns, batch) = timed_run();
+                let side = usize::from(enabled);
+                best_ns[side] = best_ns[side].min(ns);
+                last[side] = Some(batch);
+            }
+        }
+        let [disabled_ns, enabled_ns] = best_ns;
+        let [disabled_batch, enabled_batch] = last.map(|b| b.expect("five runs a side happened"));
         // Leave telemetry on for the rest of the run, whatever happens.
         ssr_obs::set_enabled(true);
         if disabled_batch.outcomes != enabled_batch.outcomes
@@ -482,7 +495,7 @@ fn main() {
         }
         let overhead = enabled_ns as f64 / disabled_ns.max(1) as f64 - 1.0;
         eprintln!(
-            "# telemetry overhead: enabled {:.1} ms vs disabled {:.1} ms — {:+.2}% \
+            "# telemetry overhead: enabled {:.1} ms vs disabled {:.1} ms per batch — {:+.2}% \
              (gate {:.2}%)",
             enabled_ns as f64 / 1e6,
             disabled_ns as f64 / 1e6,

@@ -3,13 +3,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ssr_distance::{CallCounter, SequenceDistance};
+use ssr_distance::{CallCounter, EndSpec, SequenceDistance};
 use ssr_index::{
-    CountingMetric, CoverTree, ItemId, LinearScan, MvReferenceIndex, QueryMetric, RangeIndex,
+    CountingMetric, CoverTree, FamilyScratch, LinearScan, MvReferenceIndex, RangeIndex,
     ReferenceNet, ReferenceNetConfig, SpaceStats, WindowSliceMetric,
 };
 use ssr_sequence::{
-    Element, ElementArena, Sequence, SequenceDataset, SequenceId, WindowId, WindowStore,
+    Element, ElementArena, SegmentFamily, Sequence, SequenceDataset, SequenceId, Window, WindowId,
+    WindowStore,
 };
 
 use crate::candidates::SegmentMatch;
@@ -44,19 +45,28 @@ impl<E: Element, D: SequenceDistance<E>> Clone for WindowIndex<E, D> {
 }
 
 impl<E: Element + Send + Sync, D: SequenceDistance<E>> WindowIndex<E, D> {
-    /// Range query with a raw query-segment slice probing the id-addressed
-    /// items: the counting metric resolves each visited item against the
-    /// arena and charges the evaluation exactly as the owned-item layout
-    /// did, so results and per-query call counts are bit-identical to it.
-    fn range_query(&self, query: &[E], radius: f64) -> Vec<ItemId> {
+    /// One family range query on whichever backend this is. `eval` answers
+    /// a visit — the lanes' distances to one stored window, see
+    /// [`RangeIndex::family_query`] — and is charged to the index's counting
+    /// metric as **one** distance call however many lanes it answers, with
+    /// the DP cells it filled.
+    fn family_query(
+        &self,
+        lanes: usize,
+        radius: f64,
+        mut eval: impl FnMut(WindowId, f64, &mut [f64]),
+        scratch: &mut FamilyScratch,
+    ) {
         // One probe shape for all four backends; a divergence here would
         // silently skew per-backend counts, so keep it in one place.
         macro_rules! probe {
             ($idx:expr) => {{
                 let metric = $idx.metric();
-                $idx.range_query_with(
-                    |item, tau| metric.query_dist_within(query, item, tau),
+                $idx.family_query(
+                    lanes,
                     radius,
+                    |item, tau, out| metric.charge(|| eval(*item, tau, out)),
+                    scratch,
                 )
             }};
         }
@@ -152,18 +162,24 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> WindowIndex<E, D> {
 }
 
 /// The result of step 4 over one query: every (segment, window) pair within
-/// radius `ε`, together with the distance evaluations the index spent
-/// producing them.
+/// radius `ε` — by segment length, then query offset, then window id — with
+/// the distance evaluations the index spent producing them.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SegmentScan {
     /// The matched (query segment, database window) pairs.
     pub matches: Vec<SegmentMatch>,
-    /// Distance evaluations performed inside the index to produce them.
+    /// Distance evaluations performed inside the index to produce them: one
+    /// per (family, visited index node) — the end table that answers every
+    /// segment starting at one query offset against that node's window is
+    /// one evaluation, as is a visit that a lower bound resolves.
     pub distance_calls: u64,
-    /// Dynamic-program cells those evaluations actually filled. Thresholded
-    /// kernels cut this number without changing `distance_calls`.
+    /// Dynamic-program cells those evaluations actually filled, plus those
+    /// of recomputing each match's distance. Thresholded kernels cut this
+    /// number without changing `distance_calls`.
     pub dp_cells: u64,
-    /// Evaluations resolved by a cheap lower bound alone.
+    /// Evaluations resolved by a cheap lower bound alone: family visits in
+    /// which a bound put every segment beyond the node's threshold, so that
+    /// no program ran.
     pub pruned_by_lower_bound: u64,
 }
 
@@ -395,7 +411,8 @@ pub struct SubsequenceDatabase<E: Element, D: SequenceDistance<E>> {
     /// matches from dead sequences before verification. [`crate::storage`]
     /// persists the set and a compaction folds it away by rebuilding.
     pub(crate) tombstones: Vec<bool>,
-    /// Global telemetry histogram of distance evaluations per index probe,
+    /// Global telemetry histogram of distance evaluations per family probe
+    /// (one index range query for all segments of one query offset),
     /// labelled by backend. A handle into [`ssr_obs::global`], resolved once
     /// at build/load time so the query path never touches the registry lock.
     pub(crate) probe_depth: ssr_obs::Histogram,
@@ -407,7 +424,7 @@ pub struct SubsequenceDatabase<E: Element, D: SequenceDistance<E>> {
 pub(crate) fn probe_depth_histogram(backend: &'static str) -> ssr_obs::Histogram {
     ssr_obs::global().histogram_with(
         "ssr_index_probe_depth",
-        "Distance evaluations spent inside the index per range query.",
+        "Distance evaluations per family probe: one index range query for all segments of one query offset.",
         Some(("backend", backend.to_string())),
     )
 }
@@ -598,8 +615,9 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             .collect()
     }
 
-    /// Step 4: matches every query segment (step 3) against the indexed
-    /// windows within radius `epsilon`.
+    /// Steps 3–4: matches every query segment against the indexed windows
+    /// within radius `epsilon`. The matches come by increasing segment
+    /// length, then query offset, then window id.
     pub fn matching_segments(&self, query: &Sequence<E>, epsilon: f64) -> SegmentScan {
         self.matching_segments_ctx(query, epsilon, &mut crate::query::ExecCtx::default())
     }
@@ -608,6 +626,12 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// distance calls are counted through [`CallCounter::thread_total`] so the
     /// attribution stays exact (and bit-identical to a sequential run) when
     /// several batch-engine workers query the shared index concurrently.
+    ///
+    /// The query is walked by offset, not by segment: the segments that
+    /// start at one offset are prefixes of one another, one
+    /// [`end table`](SequenceDistance::end_table) answers them all against
+    /// a window, and so the index is asked once per offset for the whole
+    /// [`SegmentFamily`] ([`RangeIndex::family_query`]).
     pub(crate) fn matching_segments_ctx(
         &self,
         query: &Sequence<E>,
@@ -616,7 +640,15 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     ) -> SegmentScan {
         let spec = self.config.segment_spec();
         let segment_started = Instant::now();
-        let segments = ssr_sequence::extract_segments(query, spec);
+        // The families borrow the query, so step 3 copies nothing; what it
+        // prepares once is the query side of the per-lane gap-sum bound and
+        // the state every family query of this scan reuses.
+        let query_gap = self
+            .gap_prefixes
+            .is_some()
+            .then(|| GapPrefix::build(query.elements()));
+        let mut scratch = FamilyScratch::default();
+        let mut per_lane = vec![Vec::new(); spec.length_count()];
         let segment_ns = segment_started.elapsed().as_nanos() as u64;
         ctx.timings.segment_ns += segment_ns;
         ctx.span("segment", segment_ns);
@@ -624,18 +656,19 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         let before = CallCounter::thread_total();
         let cells_before = ssr_distance::dp_cells_thread_total();
         let prunes_before = ssr_distance::lower_bound_prunes_thread_total();
-        let mut matches = Vec::new();
-        for segment in &segments {
+        for family in ssr_sequence::segment_families(query.elements(), spec) {
             let probe_before = CallCounter::thread_total();
-            let ids = self.index.range_query(&segment.data, epsilon);
+            self.index.family_query(
+                family.lanes(),
+                epsilon,
+                |item, tau, out| self.probe_family(&family, query_gap.as_ref(), item, tau, out),
+                &mut scratch,
+            );
             self.probe_depth
                 .observe(CallCounter::thread_total() - probe_before);
-            for id in ids {
+            for &(lane, id) in scratch.hits() {
                 let window_id = WindowId(id.0);
-                let window = self
-                    .windows
-                    .get(window_id)
-                    .expect("index ids correspond to window ids");
+                let window = self.window(window_id);
                 // Tombstone filter: windows of removed sequences stay in the
                 // index (the probe above may still have spent distance calls
                 // on them — inherent to tombstoning), but their matches are
@@ -644,29 +677,31 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                 if self.tombstones[window.sequence.0] {
                     continue;
                 }
-                let window_slice = self
-                    .windows
-                    .resolve(&window)
-                    .expect("window views resolve against their own arena");
+                let segment = family.segment(lane);
+                let window_slice = self.window_slice(&window);
                 // The index certified d ≤ ε, so the thresholded recompute
                 // always completes; the fallback covers the one legitimate
                 // exception — bulk-accepted items whose triangle-inequality
                 // certificate was rounded right at the radius boundary.
                 let distance = self
                     .distance
-                    .distance_within(&segment.data, window_slice, epsilon)
-                    .unwrap_or_else(|| self.distance.distance(&segment.data, window_slice));
-                matches.push(SegmentMatch {
+                    .distance_within(segment, window_slice, epsilon)
+                    .unwrap_or_else(|| self.distance.distance(segment, window_slice));
+                per_lane[lane].push(SegmentMatch {
                     window: window_id,
                     sequence: window.sequence,
                     window_index: window.window_index(self.windows.window_len()),
                     db_start: window.start,
-                    query_start: segment.start,
+                    query_start: family.start,
                     query_len: segment.len(),
                     distance,
                 });
             }
         }
+        // Chaining breaks its ties by input order, so the order is part of
+        // the contract: by segment length first, as when every segment was
+        // probed on its own.
+        let matches = per_lane.concat();
         let distance_calls = CallCounter::thread_total() - before;
         let dp_cells = ssr_distance::dp_cells_thread_total() - cells_before;
         let pruned_by_lower_bound = ssr_distance::lower_bound_prunes_thread_total() - prunes_before;
@@ -679,6 +714,84 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             dp_cells,
             pruned_by_lower_bound,
         }
+    }
+
+    fn window(&self, id: WindowId) -> Window {
+        self.windows
+            .get(id)
+            .expect("index ids correspond to window ids")
+    }
+
+    fn window_slice(&self, window: &Window) -> &[E] {
+        self.windows
+            .resolve(window)
+            .expect("window views resolve against their own arena")
+    }
+
+    /// One visit of a family range query: the distance from each segment of
+    /// `family` to the window `item` — exact when `≤ tau`, `∞` otherwise —
+    /// into that lane's slot of `out`, all from one end table over the
+    /// longest of them and the window.
+    ///
+    /// The bound a kernel tries before its program stays in front of the
+    /// table, per lane and in `O(1)`: when a lower bound already puts every
+    /// lane beyond `tau`, no program runs and the visit is tallied as one
+    /// lower-bound prune.
+    fn probe_family(
+        &self,
+        family: &SegmentFamily<'_, E>,
+        query_gap: Option<&GapPrefix>,
+        item: WindowId,
+        tau: f64,
+        out: &mut [f64],
+    ) {
+        let window = self.window(item);
+        let b = self.window_slice(&window);
+        if ssr_distance::pruning_enabled() {
+            let window_sum = self
+                .gap_prefixes
+                .as_ref()
+                .and_then(|prefixes| prefixes[window.sequence.0].range_sum(&window.range(b.len())));
+            let bounded = |lane: usize| {
+                let q_range = family.start..family.start + family.min_len + lane;
+                let sums = query_gap
+                    .and_then(|gap| gap.range_sum(&q_range))
+                    .zip(window_sum);
+                self.bounded_out((q_range.len(), b.len()), sums, tau)
+            };
+            if (0..family.lanes()).all(bounded) {
+                ssr_distance::record_lower_bound_prune();
+                out.fill(f64::INFINITY);
+                return;
+            }
+        }
+        let ends = EndSpec {
+            min_a: family.min_len,
+            min_b: b.len(),
+            max_len_diff: usize::MAX,
+        };
+        self.distance.end_table(family.longest, b, ends, tau, out);
+    }
+
+    /// The `O(1)` cascade in front of every dynamic program: whether an
+    /// exact lower bound on the distance of two subsequences — from their
+    /// lengths, and from their gap sums where the caller has both exactly —
+    /// already exceeds `tau`. `partial_cmp` spelled out so a NaN threshold
+    /// prunes rather than silently accepting.
+    pub(crate) fn bounded_out(
+        &self,
+        (q_len, x_len): (usize, usize),
+        gap_sums: Option<(f64, f64)>,
+        tau: f64,
+    ) -> bool {
+        let mut lower = self.distance.length_lower_bound(q_len, x_len);
+        if let Some((sum_q, sum_x)) = gap_sums {
+            lower = lower.max(self.distance.gap_sum_lower_bound(sum_q, sum_x));
+        }
+        !matches!(
+            lower.partial_cmp(&tau),
+            Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+        )
     }
 
     /// Looks up a stored sequence. Tombstoned sequences are gone from this

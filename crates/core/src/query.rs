@@ -41,7 +41,11 @@ impl SubsequenceMatch {
 pub struct QueryStats {
     /// Number of query segments extracted (step 3).
     pub segments: usize,
-    /// Distance evaluations performed inside the index (step 4).
+    /// Distance evaluations performed inside the index (step 4). The index
+    /// is probed per *family* — the segments that start at one query offset
+    /// — so one evaluation is one visit of an index node for one family: a
+    /// single end table that answers every segment of the family, or no
+    /// program at all when a lower bound excludes them all.
     pub index_distance_calls: u64,
     /// Number of (segment, window) pairs returned by the range queries.
     pub segment_matches: usize,
@@ -60,7 +64,8 @@ pub struct QueryStats {
     /// `index_distance_calls` / `verification_calls` stay exactly the same.
     pub dp_cells_evaluated: u64,
     /// Distance evaluations resolved by a cheap lower bound alone, without
-    /// running any dynamic program.
+    /// running any dynamic program: in step 4 one per family visit whose
+    /// segments are *all* bounded out, in step 5b one per candidate pair.
     pub pruned_by_lower_bound: u64,
     /// Whether the verification budget (`max_verifications`) was exhausted.
     pub budget_exhausted: bool,
@@ -310,24 +315,15 @@ impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
         if ssr_distance::pruning_enabled() {
             let (q_len, x_len) = (q_range.len(), x_range.len());
             let tau = self.clamped_epsilon(q_len.max(x_len));
-            let mut lower = db.distance.length_lower_bound(q_len, x_len);
-            if let (Some(qg), Some(prefixes)) = (&self.query_gap, &db.gap_prefixes) {
-                if let (Some(sum_q), Some(sum_x)) = (
-                    qg.range_sum(q_range),
+            let gap_sums = match (&self.query_gap, &db.gap_prefixes) {
+                (Some(qg), Some(prefixes)) => qg.range_sum(q_range).zip(
                     prefixes
                         .get(self.sequence.0)
                         .and_then(|p| p.range_sum(x_range)),
-                ) {
-                    lower = lower.max(db.distance.gap_sum_lower_bound(sum_q, sum_x));
-                }
-            }
-            // `partial_cmp` spelled out so a NaN threshold prunes rather
-            // than silently accepting.
-            let within = matches!(
-                lower.partial_cmp(&tau),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            );
-            if !within {
+                ),
+                _ => None,
+            };
+            if db.bounded_out((q_len, x_len), gap_sums, tau) {
                 ssr_distance::record_lower_bound_prune();
                 return f64::INFINITY;
             }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{ItemId, RangeIndex, SpaceStats};
+use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -67,9 +67,15 @@ impl<T, M> CoverTree<T, M> {
     }
 
     /// Decides the still-undecided part of `start`'s subtree (`start` itself
-    /// is decided by its caller).
-    fn mark_subtree(&self, start: usize, value: bool, decided: &mut [Option<bool>]) {
-        let mut stack = vec![start];
+    /// is decided by its caller) for the lane whose decisions `decided` holds.
+    fn mark_subtree(
+        &self,
+        start: usize,
+        value: bool,
+        decided: &mut [Option<bool>],
+        stack: &mut Vec<usize>,
+    ) {
+        stack.push(start);
         while let Some(n) = stack.pop() {
             for &c in &self.nodes[n].children {
                 if decided[c].is_none() {
@@ -85,56 +91,6 @@ impl<T, M> CoverTree<T, M> {
     /// any of them is resolved.
     pub fn items(&self) -> &[T] {
         &self.items
-    }
-
-    /// Probe-based range query: `probe(item, tau)` evaluates the query —
-    /// whatever its representation — against one stored item, returning
-    /// `Some(d)` with the exact distance whenever `d ≤ tau`. Visit order,
-    /// thresholds and subtree decisions match [`RangeIndex::range_query`]
-    /// exactly (that method is the `probe = metric` special case).
-    pub fn range_query_with<F>(&self, mut probe: F, radius: f64) -> Vec<ItemId>
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        if self.root.is_none() {
-            return Vec::new();
-        }
-        let mut decided: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        for ids in self.by_level.values().rev() {
-            for &n in ids {
-                if decided[n].is_some() {
-                    continue;
-                }
-                // The only decisions that need the exact distance are those
-                // with d ≤ radius + reach: anything farther is pruned
-                // together with its whole subtree. Passing that threshold to
-                // the probe lets a threshold-aware kernel abandon early; a
-                // leaf has reach 0 and is probed at the query radius itself.
-                let reach = self.nodes[n].reach;
-                match probe(&self.items[n], radius + reach) {
-                    Some(d) => {
-                        decided[n] = Some(d <= radius);
-                        if d + reach <= radius {
-                            self.mark_subtree(n, true, &mut decided);
-                        } else if d - reach > radius {
-                            self.mark_subtree(n, false, &mut decided);
-                        }
-                    }
-                    None => {
-                        // d > radius + reach: the node and everything below
-                        // it lie outside the query ball.
-                        decided[n] = Some(false);
-                        self.mark_subtree(n, false, &mut decided);
-                    }
-                }
-            }
-        }
-        decided
-            .iter()
-            .enumerate()
-            .filter(|&(_, d)| *d == Some(true))
-            .map(|(i, _)| ItemId(i))
-            .collect()
     }
 }
 
@@ -368,10 +324,48 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
     }
 
     fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        self.range_query_with(
-            |item, tau| self.metric.dist_within(query, item, tau),
-            radius,
-        )
+        one_lane_query(self, radius, |item, tau| {
+            self.metric.dist_within(query, item, tau)
+        })
+    }
+
+    /// Descends level by level; a node is probed once, for every lane that
+    /// has not decided it, and each of those lanes then decides the node and
+    /// — where its own distance allows — the whole subtree.
+    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    where
+        P: FnMut(&T, f64, &mut [f64]),
+    {
+        let nodes = self.nodes.len();
+        scratch.reset(lanes, nodes);
+        for ids in self.by_level.values().rev() {
+            for &n in ids {
+                if !undecided(&scratch.decided, lanes, nodes, n) {
+                    continue;
+                }
+                // The only decisions that need the exact distance are those
+                // with d ≤ radius + reach: anything farther is pruned
+                // together with its whole subtree, which is what the `∞` a
+                // probe reports beyond its threshold does below. A leaf has
+                // reach 0 and is probed at the query radius itself.
+                let reach = self.nodes[n].reach;
+                probe(&self.items[n], radius + reach, &mut scratch.dists);
+                for lane in 0..lanes {
+                    let decided = &mut scratch.decided[lane * nodes..][..nodes];
+                    if decided[n].is_some() {
+                        continue;
+                    }
+                    let d = scratch.dists[lane];
+                    decided[n] = Some(d <= radius);
+                    if d + reach <= radius {
+                        self.mark_subtree(n, true, decided, &mut scratch.stack);
+                    } else if d - reach > radius {
+                        self.mark_subtree(n, false, decided, &mut scratch.stack);
+                    }
+                }
+            }
+        }
+        scratch.collect_hits(nodes, |_| true);
     }
 
     fn space_stats(&self) -> SpaceStats {
@@ -576,9 +570,15 @@ mod tests {
             tree.check_invariants().unwrap();
             let mut leaves = 0;
             for &(q, r) in &[(10.0, 5.0), (75.0, 0.4), (0.0, 150.0), (60.0, 0.0)] {
+                // Lane `l` asks for `family[l]`: near, nearer and far lanes,
+                // so some decide a subtree the others still have to walk.
+                let family = [q, q + 0.3, q - 7.0, q + 45.0];
                 let mut probed = vec![false; values.len()];
-                let got = tree.range_query_with(
-                    |item, tau| {
+                let mut scratch = FamilyScratch::default();
+                tree.family_query(
+                    family.len(),
+                    r,
+                    |item, tau, out| {
                         let n = tree
                             .items
                             .iter()
@@ -595,16 +595,23 @@ mod tests {
                             "node {n} at level {} probed at {tau} for radius {r}",
                             node.level
                         );
-                        tree.metric.dist_within(&q, item, tau)
+                        for (slot, q) in out.iter_mut().zip(&family) {
+                            *slot = tree
+                                .metric
+                                .dist_within(q, item, tau)
+                                .unwrap_or(f64::INFINITY);
+                        }
                     },
-                    r,
+                    &mut scratch,
                 );
-                let mut got: Vec<usize> = got.into_iter().map(|i| i.0).collect();
-                got.sort_unstable();
-                let expected: Vec<usize> = (0..values.len())
-                    .filter(|&i| (values[i] - q).abs() <= r)
-                    .collect();
-                assert_eq!(got, expected, "q={q} r={r} eps'={epsilon_prime}");
+                for (lane, &q) in family.iter().enumerate() {
+                    let hits = scratch.hits().iter().filter(|hit| hit.0 == lane);
+                    let got: Vec<usize> = hits.map(|hit| hit.1 .0).collect();
+                    let expected: Vec<usize> = (0..values.len())
+                        .filter(|&i| (values[i] - q).abs() <= r)
+                        .collect();
+                    assert_eq!(got, expected, "q={q} r={r} eps'={epsilon_prime}");
+                }
             }
             assert!(leaves > 0, "the audit never saw a leaf");
         }

@@ -24,9 +24,11 @@
 //! experiments, but the framework stores **id handles**: `WindowId`s that a
 //! [`WindowSliceMetric`] resolves to borrowed slices of a shared element
 //! arena, so the index owns one machine word per window instead of a cloned
-//! element vector. Range queries accept an external probe representation via
-//! [`QueryMetric`] (a raw `&[E]` query segment probing `WindowId` items) or,
-//! equivalently, the `range_query_with` closure form on each structure.
+//! element vector. [`RangeIndex::family_query`] is the one range-query loop of
+//! each structure: it answers a whole family of probes — of any
+//! representation, e.g. the raw `&[E]` query segments that start at one query
+//! offset — visiting each node once for all of them;
+//! [`RangeIndex::range_query`] over a stored item is its one-lane case.
 
 pub mod cover_tree;
 pub mod linear_scan;
@@ -38,9 +40,7 @@ pub mod traits;
 
 pub use cover_tree::CoverTree;
 pub use linear_scan::LinearScan;
-pub use metric::{
-    CountingMetric, FnMetric, Metric, QueryMetric, SequenceMetricAdapter, WindowSliceMetric,
-};
+pub use metric::{CountingMetric, FnMetric, Metric, SequenceMetricAdapter, WindowSliceMetric};
 pub use mv_reference::MvReferenceIndex;
 pub use reference_net::{ReferenceNet, ReferenceNetConfig};
-pub use traits::{ItemId, RangeIndex, SpaceStats};
+pub use traits::{FamilyScratch, ItemId, RangeIndex, SpaceStats};

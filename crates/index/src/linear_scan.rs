@@ -3,7 +3,7 @@
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{ItemId, RangeIndex, SpaceStats};
+use crate::traits::{one_lane_query, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// The naive baseline: a range query computes the distance from the query to
 /// every stored item. All pruning ratios in the paper's Figures 8–11 are
@@ -39,50 +39,9 @@ impl<T, M: Metric<T>> LinearScan<T, M> {
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
         self.items.extend(items);
     }
-
-    /// Range query that also returns the distance of each reported item.
-    ///
-    /// Every item is still *visited* (and counted as one distance call by a
-    /// counting metric), but the threshold-aware evaluation lets the kernel
-    /// abandon each non-matching item after a fraction of its DP cells.
-    pub fn range_query_with_distances(&self, query: &T, radius: f64) -> Vec<(ItemId, f64)> {
-        self.scan_with(
-            |item, tau| self.metric.dist_within(query, item, tau),
-            radius,
-        )
-    }
 }
 
 impl<T, M> LinearScan<T, M> {
-    /// The one scan loop both query forms share: every item is visited in id
-    /// order and `probe(item, radius)` decides (and reports) its distance.
-    fn scan_with<F>(&self, mut probe: F, radius: f64) -> Vec<(ItemId, f64)>
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        self.items
-            .iter()
-            .enumerate()
-            .filter_map(|(i, item)| probe(item, radius).map(|d| (ItemId(i), d)))
-            .collect()
-    }
-
-    /// Probe-based range query: `probe(item, tau)` evaluates the query —
-    /// whatever its representation — against one stored item, returning
-    /// `Some(d)` exactly when `d ≤ tau`. This is how the framework queries
-    /// id-addressed items with a raw query-segment slice (see
-    /// [`crate::QueryMetric`]); `range_query` is the `probe = metric` special
-    /// case. The scan visits every item in id order, like `range_query`.
-    pub fn range_query_with<F>(&self, probe: F, radius: f64) -> Vec<ItemId>
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        self.scan_with(probe, radius)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Stored items in id order (the id of `items()[i]` is `ItemId(i)`).
     /// Snapshot loading uses this to validate decoded item handles before
     /// any of them is resolved.
@@ -112,10 +71,28 @@ impl<T, M: Metric<T>> RangeIndex<T> for LinearScan<T, M> {
     }
 
     fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        self.range_query_with_distances(query, radius)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        one_lane_query(self, radius, |item, tau| {
+            self.metric.dist_within(query, item, tau)
+        })
+    }
+
+    /// Every item is visited once, in id order, for all lanes together (one
+    /// distance call by a counting probe); the threshold is the radius
+    /// itself, so a threshold-aware probe abandons each non-matching item
+    /// after a fraction of its DP cells.
+    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    where
+        P: FnMut(&T, f64, &mut [f64]),
+    {
+        let n = self.items.len();
+        scratch.reset(lanes, n);
+        for (i, item) in self.items.iter().enumerate() {
+            probe(item, radius, &mut scratch.dists);
+            for (lane, d) in scratch.dists.iter().enumerate() {
+                scratch.decided[lane * n + i] = Some(*d <= radius);
+            }
+        }
+        scratch.collect_hits(n, |_| true);
     }
 
     fn space_stats(&self) -> SpaceStats {
@@ -167,9 +144,6 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 3]);
-        let with_d = scan.range_query_with_distances(&5.2, 0.5);
-        assert_eq!(with_d.len(), 2);
-        assert!(with_d.iter().all(|&(_, d)| d <= 0.5));
         assert_eq!(scan.len(), 4);
         assert_eq!(scan.item(ItemId(2)), Some(&9.0));
         assert_eq!(scan.space_stats().entries, 0);

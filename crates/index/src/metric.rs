@@ -60,31 +60,6 @@ impl<T, M: Metric<T> + ?Sized> Metric<T> for &M {
     }
 }
 
-/// A [`Metric`] that can additionally evaluate an *external* query
-/// representation `Q` against its stored item type `T`.
-///
-/// The index structures store lightweight item handles (for the framework:
-/// [`WindowId`]s resolved through a shared [`WindowStore`]), but a range
-/// query arrives as raw data — a query-segment slice that exists in no
-/// store. This trait is the bridge: `Q` is the probe side, `T` the stored
-/// side, and implementations resolve `T` however they resolve it for
-/// item–item distances. `query_dist_within` must agree exactly with
-/// [`Metric::dist_within`] whenever `Q` and `T` denote the same elements.
-pub trait QueryMetric<Q: ?Sized, T>: Metric<T> {
-    /// Threshold-aware distance from an external query to a stored item:
-    /// `Some(d)` with `d` exact whenever `d ≤ tau`, `None` otherwise.
-    fn query_dist_within(&self, query: &Q, item: &T, tau: f64) -> Option<f64>;
-
-    /// Exact distance from an external query to a stored item. Equivalent to
-    /// `query_dist_within(query, item, f64::INFINITY)` (threshold-aware
-    /// kernels return the exact distance under an infinite threshold), and
-    /// counted identically by counting wrappers.
-    fn query_dist(&self, query: &Q, item: &T) -> f64 {
-        self.query_dist_within(query, item, f64::INFINITY)
-            .expect("an infinite threshold never rejects")
-    }
-}
-
 /// Adapts a closure into a [`Metric`].
 #[derive(Clone, Debug)]
 pub struct FnMetric<F>(pub F);
@@ -138,9 +113,9 @@ where
 
 /// The arena-era window metric: items are [`WindowId`]s, resolved to `&[E]`
 /// slices of the shared [`WindowStore`] (and through it the `ElementArena`)
-/// on every evaluation. Queries probe with raw `[E]` slices. No element is
-/// ever copied — both sides of every kernel invocation are borrowed views of
-/// contiguous storage, which is the whole point of the flat layout.
+/// on every evaluation. No element is ever copied — both sides of every
+/// kernel invocation are borrowed views of contiguous storage, which is the
+/// whole point of the flat layout.
 ///
 /// The store handle is an `Arc` because the index, the framework database
 /// and this metric all share one window table; the metric only ever reads.
@@ -211,16 +186,6 @@ where
     }
 }
 
-impl<E, D> QueryMetric<[E], WindowId> for WindowSliceMetric<E, D>
-where
-    E: Element + Send + Sync,
-    D: SequenceDistance<E>,
-{
-    fn query_dist_within(&self, query: &[E], item: &WindowId, tau: f64) -> Option<f64> {
-        self.distance.distance_within(query, self.slice(*item), tau)
-    }
-}
-
 /// A metric wrapper that counts every distance evaluation on a shared
 /// [`CallCounter`] — used to measure the pruning ratios of Figures 8–11 —
 /// and mirrors the DP cells the underlying kernels evaluate into a shared
@@ -286,9 +251,12 @@ impl<M> CountingMetric<M> {
     /// The single charging point every counted evaluation goes through: one
     /// call on the shared counter, plus the DP cells the evaluation filled
     /// (measured as a thread-local delta). The CI-gated counters rest on
-    /// every evaluation surface — item–item, thresholded, query-probe —
-    /// charging through this one helper, so they can never drift apart.
-    fn charge<R>(&self, eval: impl FnOnce() -> R) -> R {
+    /// every evaluation surface — item–item, thresholded, and the probes of
+    /// a family range query, which the framework evaluates itself (a raw
+    /// query slice against a stored id handle) and charges here, one call
+    /// per probe — going through this one helper, so they can never drift
+    /// apart.
+    pub fn charge<R>(&self, eval: impl FnOnce() -> R) -> R {
         self.counter.record();
         let before = ssr_distance::dp_cells_thread_total();
         let result = eval();
@@ -305,12 +273,6 @@ impl<T, M: Metric<T>> Metric<T> for CountingMetric<M> {
 
     fn dist_within(&self, a: &T, b: &T, tau: f64) -> Option<f64> {
         self.charge(|| self.inner.dist_within(a, b, tau))
-    }
-}
-
-impl<Q: ?Sized, T, M: QueryMetric<Q, T>> QueryMetric<Q, T> for CountingMetric<M> {
-    fn query_dist_within(&self, query: &Q, item: &T, tau: f64) -> Option<f64> {
-        self.charge(|| self.inner.query_dist_within(query, item, tau))
     }
 }
 
@@ -361,19 +323,17 @@ mod tests {
         // Item–item distances resolve both ids to arena slices…
         assert_eq!(m.dist(&WindowId(0), &WindowId(1)), 1.0); // ACGT vs AGGT
         assert_eq!(m.dist_within(&WindowId(0), &WindowId(1), 0.5), None);
-        // …and query probes pair a raw slice with a resolved item.
-        let q = sym("ACGT");
-        assert_eq!(m.query_dist(&q[..], &WindowId(0)), 0.0);
-        assert_eq!(m.query_dist_within(&q[..], &WindowId(1), 1.0), Some(1.0));
-        assert_eq!(m.query_dist_within(&q[..], &WindowId(1), 0.5), None);
 
-        // A counting wrapper charges query probes like any other evaluation.
+        // A counting wrapper charges a probe the caller evaluates itself —
+        // a raw slice against a resolved item — like any other evaluation.
+        let q = sym("ACGT");
         let counter = CallCounter::new();
         let counted = CountingMetric::new(m, counter.clone());
-        let _ = counted.query_dist_within(&q[..], &WindowId(0), 8.0);
-        let _ = counted.query_dist(&q[..], &WindowId(1));
+        let window = store.slice(WindowId(1)).unwrap();
+        let probed = counted.charge(|| Levenshtein::new().distance_within(&q, window, 1.0));
+        assert_eq!(probed, Some(1.0));
         let _ = counted.dist(&WindowId(0), &WindowId(1));
-        assert_eq!(counter.get(), 3);
+        assert_eq!(counter.get(), 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
 use crate::par::fanout_map;
-use crate::traits::{ItemId, RangeIndex, SpaceStats};
+use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// Reference-based index with Maximum-Variance pivots.
 #[derive(Clone)]
@@ -162,10 +162,12 @@ impl<T: Send + Sync, M: Metric<T>> MvReferenceIndex<T, M> {
     /// Range query that reports how many true distance computations it used
     /// (pivot distances plus verified items), for the pruning-ratio figures.
     pub fn range_query_counted(&self, query: &T, radius: f64) -> (Vec<ItemId>, u64) {
-        self.range_query_counted_with(
-            |item, tau| self.metric.dist_within(query, item, tau),
-            radius,
-        )
+        let mut calls = 0u64;
+        let ids = one_lane_query(self, radius, |item, tau| {
+            calls += 1;
+            self.metric.dist_within(query, item, tau)
+        });
+        (ids, calls)
     }
 }
 
@@ -182,66 +184,6 @@ impl<T, M> MvReferenceIndex<T, M> {
     /// any of them is resolved.
     pub fn items(&self) -> &[T] {
         &self.items
-    }
-
-    /// Probe-based counted range query: `probe(item, tau)` evaluates the
-    /// query — whatever its representation — against one stored item,
-    /// returning `Some(d)` with the exact distance whenever `d ≤ tau`.
-    /// Pivot distances are evaluated with an infinite threshold (they feed
-    /// both the lower *and* upper triangle-inequality bounds, so they must
-    /// be exact); threshold-aware kernels return the exact distance under an
-    /// infinite threshold, and a counting probe charges one call either way,
-    /// so the call counts match [`Self::range_query_counted`] exactly.
-    pub fn range_query_counted_with<F>(&self, mut probe: F, radius: f64) -> (Vec<ItemId>, u64)
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        self.ensure_built();
-        if self.items.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let mut calls = 0u64;
-        let query_to_ref: Vec<f64> = self
-            .references
-            .iter()
-            .map(|&r| {
-                calls += 1;
-                probe(&self.items[r], f64::INFINITY).expect("an infinite threshold never rejects")
-            })
-            .collect();
-        let mut result = Vec::new();
-        for (i, row) in self.table.iter().enumerate() {
-            let mut lower = 0.0f64;
-            let mut upper = f64::INFINITY;
-            for (dq, dx) in query_to_ref.iter().zip(row.iter()) {
-                lower = lower.max((dq - dx).abs());
-                upper = upper.min(dq + dx);
-            }
-            if lower > radius {
-                continue;
-            }
-            if upper <= radius {
-                result.push(ItemId(i));
-                continue;
-            }
-            // Verification only needs to know whether d ≤ radius, so the
-            // query radius itself is the kernel's threshold; the pivot
-            // bounds above already absorbed the triangle-inequality slack.
-            calls += 1;
-            if probe(&self.items[i], radius).is_some() {
-                result.push(ItemId(i));
-            }
-        }
-        (result, calls)
-    }
-
-    /// Probe-based range query (ids only); see
-    /// [`Self::range_query_counted_with`].
-    pub fn range_query_with<F>(&self, probe: F, radius: f64) -> Vec<ItemId>
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        self.range_query_counted_with(probe, radius).0
     }
 }
 
@@ -263,6 +205,54 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
 
     fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
         self.range_query_counted(query, radius).0
+    }
+
+    /// One probe per pivot fills that pivot's distance to every lane — at an
+    /// infinite threshold: the pivot distances feed both the lower *and* the
+    /// upper triangle-inequality bound, so they must be exact. Each lane
+    /// then prunes or accepts every item from its own bounds, and an item
+    /// some lane can do neither for is verified by one probe for all of
+    /// those lanes; verification only asks whether `d ≤ radius`, so the
+    /// radius itself is that probe's threshold.
+    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    where
+        P: FnMut(&T, f64, &mut [f64]),
+    {
+        self.ensure_built();
+        let n = self.items.len();
+        scratch.reset(lanes, n);
+        scratch
+            .dists
+            .resize(lanes * (1 + self.references.len()), f64::INFINITY);
+        let (dists, to_pivot) = scratch.dists.split_at_mut(lanes);
+        for (&r, row) in self.references.iter().zip(to_pivot.chunks_mut(lanes)) {
+            probe(&self.items[r], f64::INFINITY, row);
+        }
+        for (i, row) in self.table.iter().enumerate() {
+            for lane in 0..lanes {
+                let mut lower = 0.0f64;
+                let mut upper = f64::INFINITY;
+                for (dx, of_pivot) in row.iter().zip(to_pivot.chunks(lanes)) {
+                    let dq = of_pivot[lane];
+                    lower = lower.max((dq - dx).abs());
+                    upper = upper.min(dq + dx);
+                }
+                scratch.decided[lane * n + i] = if lower > radius {
+                    Some(false)
+                } else if upper <= radius {
+                    Some(true)
+                } else {
+                    None
+                };
+            }
+            if undecided(&scratch.decided, lanes, n, i) {
+                probe(&self.items[i], radius, dists);
+                for (lane, d) in dists.iter().enumerate() {
+                    scratch.decided[lane * n + i].get_or_insert(*d <= radius);
+                }
+            }
+        }
+        scratch.collect_hits(n, |_| true);
     }
 
     fn space_stats(&self) -> SpaceStats {

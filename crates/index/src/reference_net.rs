@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{ItemId, RangeIndex, SpaceStats};
+use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// Configuration of a [`ReferenceNet`].
 #[derive(Clone, Copy, Debug)]
@@ -92,18 +92,19 @@ struct Node {
     list: f64,
 }
 
-/// Per-query decision state of Algorithm 3.
-struct Decisions {
+/// One lane's decision state of Algorithm 3, borrowed from the query's
+/// [`FamilyScratch`].
+struct Decisions<'s> {
     /// `Some(in_result)` once a node is decided; the first decision stands.
-    decided: Vec<Option<bool>>,
+    decided: &'s mut [Option<bool>],
     /// Nodes whose derived references are all decided: a bulk decision never
-    /// descends below one again, so every bulk decision of a query together
+    /// descends below one again, so every bulk decision of a lane together
     /// walks each edge of the multi-parent DAG at most once.
-    swept: Vec<bool>,
-    stack: Vec<usize>,
+    swept: &'s mut [bool],
+    stack: &'s mut Vec<usize>,
 }
 
-impl Decisions {
+impl Decisions<'_> {
     fn decide(&mut self, n: usize, value: bool) {
         if self.decided[n].is_none() {
             self.decided[n] = Some(value);
@@ -636,7 +637,7 @@ impl<T, M> ReferenceNet<T, M> {
     }
 
     /// Decides every still-undecided reference derived from `start`.
-    fn mark_descendants(&self, start: usize, value: bool, state: &mut Decisions) {
+    fn mark_descendants(&self, start: usize, value: bool, state: &mut Decisions<'_>) {
         state.stack.push(start);
         while let Some(n) = state.stack.pop() {
             if std::mem::replace(&mut state.swept[n], true) {
@@ -654,75 +655,6 @@ impl<T, M> ReferenceNet<T, M> {
     /// handles before any of them is resolved.
     pub fn items(&self) -> &[T] {
         &self.items
-    }
-
-    /// Probe-based range query (Algorithm 3): `probe(item, tau)` evaluates
-    /// the query — whatever its representation — against one stored item,
-    /// returning `Some(d)` with the exact distance whenever `d ≤ tau` and
-    /// `None` otherwise. The visit order, the thresholds passed to the probe
-    /// and the accept/prune decisions are exactly those of
-    /// [`RangeIndex::range_query`], which is the `probe = metric` special
-    /// case; the framework passes a probe that resolves id-addressed items
-    /// against its shared element arena and counts the evaluation.
-    pub fn range_query_with<F>(&self, mut probe: F, radius: f64) -> Vec<ItemId>
-    where
-        F: FnMut(&T, f64) -> Option<f64>,
-    {
-        if self.root.is_none() {
-            return Vec::new();
-        }
-        let mut state = Decisions {
-            decided: vec![None; self.nodes.len()],
-            swept: vec![false; self.nodes.len()],
-            stack: Vec::new(),
-        };
-        // Visit references level by level, from the top down (Algorithm 3).
-        for ids in self.by_level.values().rev() {
-            for &n in ids {
-                let node = &self.nodes[n];
-                if !node.alive || state.decided[n].is_some() {
-                    continue;
-                }
-                // Per Lemma 4, a reference farther than radius + reach
-                // excludes everything derived from it, so no decision below
-                // needs the exact distance beyond that threshold — pass it
-                // to the probe and let a threshold-aware kernel abandon
-                // early. A childless reference has reach 0: it is probed at
-                // the query radius itself.
-                match probe(&self.items[n], radius + node.reach) {
-                    Some(d) => {
-                        state.decided[n] = Some(d <= radius);
-                        if d + node.reach <= radius {
-                            self.mark_descendants(n, true, &mut state);
-                        } else if d + node.list <= radius {
-                            for &c in &node.children {
-                                state.decide(c, true);
-                            }
-                        }
-                        if d - node.reach > radius {
-                            self.mark_descendants(n, false, &mut state);
-                        } else if d - node.list > radius {
-                            for &c in &node.children {
-                                state.decide(c, false);
-                            }
-                        }
-                    }
-                    None => {
-                        // d > radius + reach (Lemma 4): prune the reference
-                        // and everything derived from it.
-                        state.decided[n] = Some(false);
-                        self.mark_descendants(n, false, &mut state);
-                    }
-                }
-            }
-        }
-        state
-            .decided
-            .iter()
-            .enumerate()
-            .filter(|&(i, d)| self.nodes[i].alive && *d == Some(true))
-            .map(|(i, _)| ItemId(i))
-            .collect()
     }
 }
 
@@ -795,10 +727,70 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
     }
 
     fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        self.range_query_with(
-            |item, tau| self.metric.dist_within(query, item, tau),
-            radius,
-        )
+        one_lane_query(self, radius, |item, tau| {
+            self.metric.dist_within(query, item, tau)
+        })
+    }
+
+    /// Algorithm 3 for every lane at once: references are visited level by
+    /// level from the top, a reference is probed once for all the lanes that
+    /// have not decided it, and each of those lanes takes its own decisions
+    /// from its own distance.
+    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    where
+        P: FnMut(&T, f64, &mut [f64]),
+    {
+        let nodes = self.nodes.len();
+        scratch.reset(lanes, nodes);
+        scratch.swept.clear();
+        scratch.swept.resize(lanes * nodes, false);
+        for ids in self.by_level.values().rev() {
+            for &n in ids {
+                let node = &self.nodes[n];
+                if !node.alive {
+                    continue;
+                }
+                if !undecided(&scratch.decided, lanes, nodes, n) {
+                    continue;
+                }
+                // Per Lemma 4, a reference farther than radius + reach
+                // excludes everything derived from it, so no decision below
+                // needs the exact distance beyond that threshold — pass it
+                // to the probe and let a threshold-aware kernel abandon
+                // early; the `∞` it reports instead prunes the reference and
+                // everything derived from it. A childless reference has
+                // reach 0: it is probed at the query radius itself.
+                probe(&self.items[n], radius + node.reach, &mut scratch.dists);
+                for lane in 0..lanes {
+                    let of_lane = lane * nodes..(lane + 1) * nodes;
+                    let mut state = Decisions {
+                        decided: &mut scratch.decided[of_lane.clone()],
+                        swept: &mut scratch.swept[of_lane],
+                        stack: &mut scratch.stack,
+                    };
+                    if state.decided[n].is_some() {
+                        continue;
+                    }
+                    let d = scratch.dists[lane];
+                    state.decided[n] = Some(d <= radius);
+                    if d + node.reach <= radius {
+                        self.mark_descendants(n, true, &mut state);
+                    } else if d + node.list <= radius {
+                        for &c in &node.children {
+                            state.decide(c, true);
+                        }
+                    }
+                    if d - node.reach > radius {
+                        self.mark_descendants(n, false, &mut state);
+                    } else if d - node.list > radius {
+                        for &c in &node.children {
+                            state.decide(c, false);
+                        }
+                    }
+                }
+            }
+        }
+        scratch.collect_hits(nodes, |i| self.nodes[i].alive);
     }
 
     fn space_stats(&self) -> SpaceStats {
@@ -1156,18 +1148,22 @@ mod tests {
         );
     }
 
-    /// Range query through a recording probe: every threshold is checked
-    /// against the node it was issued for. Returns the sorted result ids and
-    /// how many childless references were probed.
-    fn audited_query<T: Send + Sync, M: Metric<T>>(
+    /// Family query (lane `l` asks for `queries[l]`) through a recording
+    /// probe: no node is visited twice, and every visit's threshold is
+    /// checked against the node it was issued for. Returns each lane's
+    /// result ids and how many childless references were visited.
+    fn audited_family<T: Send + Sync, M: Metric<T>>(
         net: &ReferenceNet<T, M>,
-        query: &T,
+        queries: &[T],
         radius: f64,
-    ) -> (Vec<usize>, usize) {
+    ) -> (Vec<Vec<usize>>, usize) {
         let mut probed = vec![false; net.nodes.len()];
         let mut childless = 0;
-        let ids = net.range_query_with(
-            |item, tau| {
+        let mut scratch = FamilyScratch::default();
+        net.family_query(
+            queries.len(),
+            radius,
+            |item, tau, out| {
                 let n = net
                     .items
                     .iter()
@@ -1184,12 +1180,21 @@ mod tests {
                     "node {n} at level {} probed at {tau} for radius {radius}",
                     node.level
                 );
-                net.metric.dist_within(query, item, tau)
+                assert_eq!(out.len(), queries.len());
+                for (slot, q) in out.iter_mut().zip(queries) {
+                    *slot = net
+                        .metric
+                        .dist_within(q, item, tau)
+                        .unwrap_or(f64::INFINITY);
+                }
             },
-            radius,
+            &mut scratch,
         );
-        let mut ids: Vec<usize> = ids.into_iter().map(|i| i.0).collect();
-        ids.sort_unstable();
+        let mut ids = vec![Vec::new(); queries.len()];
+        for &(lane, id) in scratch.hits() {
+            ids[lane].push(id.0);
+        }
+        assert!(ids.iter().all(|lane| lane.is_sorted()), "hits come by id");
         (ids, childless)
     }
 
@@ -1209,12 +1214,17 @@ mod tests {
             net.check_invariants().unwrap();
             let mut childless = 0;
             for &(q, r) in &[(10.0, 5.0), (75.0, 0.4), (0.0, 150.0), (60.0, 0.0)] {
-                let (got, leaves) = audited_query(&net, &q, r);
-                let expected: Vec<usize> = brute_force(&values, q, r)
-                    .into_iter()
-                    .filter(|i| i % 7 != 0)
-                    .collect();
-                assert_eq!(got, expected, "q={q} r={r} eps'={epsilon_prime}");
+                // Near, nearer and far lanes: some decide a subtree the
+                // others still have to walk.
+                let family = [q, q + 0.3, q - 7.0, q + 45.0];
+                let (got, leaves) = audited_family(&net, &family, r);
+                for (lane, &q) in family.iter().enumerate() {
+                    let expected: Vec<usize> = brute_force(&values, q, r)
+                        .into_iter()
+                        .filter(|i| i % 7 != 0)
+                        .collect();
+                    assert_eq!(got[lane], expected, "q={q} r={r} eps'={epsilon_prime}");
+                }
                 childless += leaves;
             }
             assert!(childless > 0, "the audit never saw a childless reference");
@@ -1230,26 +1240,30 @@ mod tests {
         // A small alphabet keeps neighbouring windows close enough for a
         // hierarchy several levels deep.
         let mut state = 0x9E37_79B9u32;
-        let mut window = || -> Vec<Symbol> {
-            (0..8)
+        let mut symbols = |len: usize| -> Vec<Symbol> {
+            (0..len)
                 .map(|_| {
                     state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
                     Symbol::from_char(b"ACGT"[(state >> 24) as usize % 4] as char)
                 })
                 .collect()
         };
-        let windows: Vec<Vec<Symbol>> = (0..300).map(|_| window()).collect();
+        let windows: Vec<Vec<Symbol>> = (0..300).map(|_| symbols(8)).collect();
         let metric = SequenceMetricAdapter::new(Levenshtein::new());
         let mut net = ReferenceNet::new(metric.clone());
         net.extend(windows.iter().cloned());
         net.check_invariants().unwrap();
         for radius in [0.0, 1.0, 2.0, 4.0, 8.0] {
-            let query = window();
-            let (got, _) = audited_query(&net, &query, radius);
-            let expected: Vec<usize> = (0..windows.len())
-                .filter(|&i| metric.dist(&query, &windows[i]) <= radius)
-                .collect();
-            assert_eq!(got, expected, "radius={radius}");
+            // The framework's shape: the lanes are prefixes of one another.
+            let longest = symbols(10);
+            let family: Vec<Vec<Symbol>> = (6..=10).map(|len| longest[..len].to_vec()).collect();
+            let (got, _) = audited_family(&net, &family, radius);
+            for (lane, query) in family.iter().enumerate() {
+                let expected: Vec<usize> = (0..windows.len())
+                    .filter(|&i| metric.dist(query, &windows[i]) <= radius)
+                    .collect();
+                assert_eq!(got[lane], expected, "radius={radius} lane={lane}");
+            }
         }
     }
 
@@ -1283,23 +1297,36 @@ mod tests {
             }
         }
         net.check_invariants().unwrap();
-        let counter = std::cell::Cell::new(0);
-        let probe = |query: f64, radius: f64| {
-            counter.set(0);
-            net.range_query_with(
-                |item, tau| {
-                    counter.set(counter.get() + 1);
-                    net.metric.dist_within(&query, item, tau)
-                },
+        let everything = 2 * rungs as usize + 1;
+        // Far inside the ball, far outside it, and a family with a lane of
+        // each: the root's one visit decides the whole net for every lane.
+        for (family, radius, sizes) in [
+            (vec![0.0], 1e15, vec![everything]),
+            (vec![1e15], 1.0, vec![0]),
+            (vec![0.0, 1e15, 0.0], 1e13, vec![everything, 0, everything]),
+        ] {
+            let mut visits = 0;
+            let mut scratch = FamilyScratch::default();
+            net.family_query(
+                family.len(),
                 radius,
-            )
-        };
-        // Far inside the ball and far outside it: the root's one distance
-        // decides the whole net either way.
-        assert_eq!(probe(0.0, 1e15).len(), 2 * rungs as usize + 1);
-        assert_eq!(counter.get(), 1);
-        assert!(probe(1e15, 1.0).is_empty());
-        assert_eq!(counter.get(), 1);
+                |item, tau, out| {
+                    visits += 1;
+                    for (slot, q) in out.iter_mut().zip(&family) {
+                        *slot = net
+                            .metric
+                            .dist_within(q, item, tau)
+                            .unwrap_or(f64::INFINITY);
+                    }
+                },
+                &mut scratch,
+            );
+            assert_eq!(visits, 1);
+            let found: Vec<usize> = (0..family.len())
+                .map(|lane| scratch.hits().iter().filter(|hit| hit.0 == lane).count())
+                .collect();
+            assert_eq!(found, sizes);
+        }
     }
 
     #[test]

@@ -73,6 +73,60 @@ impl SpaceStats {
     }
 }
 
+/// Reusable state of [`RangeIndex::family_query`]: the per-lane decisions,
+/// the walk stack, the probe's output slots and the hit list. A caller that
+/// runs many family queries — the framework runs one per query offset —
+/// keeps one scratch and every query after the first allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct FamilyScratch {
+    /// Lane-major: the decision of lane `l` on node `n` is at `l·nodes + n`;
+    /// `Some(in_result)` once decided, and the first decision stands.
+    pub(crate) decided: Vec<Option<bool>>,
+    /// Lane-major like `decided` (Reference Net only): nodes whose derived
+    /// references this lane has all decided.
+    pub(crate) swept: Vec<bool>,
+    pub(crate) stack: Vec<usize>,
+    /// The probe's output, one slot per lane (MV-Reference keeps one more
+    /// row of them per pivot behind it).
+    pub(crate) dists: Vec<f64>,
+    hits: Vec<(usize, ItemId)>,
+}
+
+impl FamilyScratch {
+    /// The `(lane, item)` pairs the last family query found within its
+    /// radius, by lane and, within a lane, by increasing item id.
+    pub fn hits(&self) -> &[(usize, ItemId)] {
+        &self.hits
+    }
+
+    /// Clears the state for a query of `lanes` lanes over `nodes` nodes.
+    pub(crate) fn reset(&mut self, lanes: usize, nodes: usize) {
+        assert!(lanes > 0, "a family has at least one lane");
+        self.decided.clear();
+        self.decided.resize(lanes * nodes, None);
+        self.dists.clear();
+        self.dists.resize(lanes, f64::INFINITY);
+        self.hits.clear();
+    }
+
+    /// Fills the hit list from the decisions, skipping nodes that are not
+    /// `live`.
+    pub(crate) fn collect_hits(&mut self, nodes: usize, live: impl Fn(usize) -> bool) {
+        let accepted = self.decided.iter().enumerate();
+        self.hits.extend(
+            accepted
+                .filter(|&(at, d)| *d == Some(true) && live(at % nodes))
+                .map(|(at, _)| (at / nodes, ItemId(at % nodes))),
+        );
+    }
+}
+
+/// Whether some lane has not decided `node` in the lane-major `decided`, so
+/// that a family query still has to visit it.
+pub(crate) fn undecided(decided: &[Option<bool>], lanes: usize, nodes: usize, node: usize) -> bool {
+    (0..lanes).any(|lane| decided[lane * nodes + node].is_none())
+}
+
 /// An index answering range similarity queries `{ x : δ(q, x) ≤ radius }`.
 pub trait RangeIndex<T> {
     /// Inserts an item, returning its id.
@@ -95,8 +149,43 @@ pub trait RangeIndex<T> {
     /// The result order is unspecified; callers that need determinism sort.
     fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId>;
 
+    /// One range query for a *family* of `lanes ≥ 1` probes that are cheap to
+    /// evaluate together — the framework's query segments that start at one
+    /// offset are prefixes of one another, and one dynamic program answers
+    /// them all. The probes may have any representation: the index only sees
+    /// `probe(item, tau, out)`, which must set `out[l]`, for every lane `l`,
+    /// to lane `l`'s exact distance to `item` when that is `≤ tau` and to `∞`
+    /// otherwise.
+    ///
+    /// Every lane is answered exactly as if it were queried alone — same
+    /// decisions from the same distances, same thresholds — but an item (a
+    /// node of the hierarchy) is visited once, for all the lanes that still
+    /// need it; the slots of lanes that had decided it already are ignored.
+    /// The hits are left in `scratch` ([`FamilyScratch::hits`]).
+    /// [`Self::range_query`] is the one-lane case.
+    fn family_query<P>(&self, lanes: usize, radius: f64, probe: P, scratch: &mut FamilyScratch)
+    where
+        P: FnMut(&T, f64, &mut [f64]);
+
     /// Space accounting for the structure.
     fn space_stats(&self) -> SpaceStats;
+}
+
+/// [`RangeIndex::range_query`] for every backend: the one-lane family whose
+/// probe is `dist_within(item, tau)`.
+pub(crate) fn one_lane_query<T, I: RangeIndex<T>>(
+    index: &I,
+    radius: f64,
+    mut dist_within: impl FnMut(&T, f64) -> Option<f64>,
+) -> Vec<ItemId> {
+    let mut scratch = FamilyScratch::default();
+    index.family_query(
+        1,
+        radius,
+        |item, tau, out| out[0] = dist_within(item, tau).unwrap_or(f64::INFINITY),
+        &mut scratch,
+    );
+    scratch.hits.iter().map(|&(_, id)| id).collect()
 }
 
 #[cfg(test)]

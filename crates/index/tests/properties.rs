@@ -4,13 +4,15 @@
 //! reach bounds included — under arbitrary insert / delete interleavings and
 //! across a snapshot round-trip. Thresholding, on probe or on insert, may
 //! save DP cells but never changes a structure, an answer or a call count.
+//! A family query answers every lane as the one-lane query would, and visits
+//! no more nodes than those queries together.
 
 use proptest::prelude::*;
 
 use ssr_distance::{CallCounter, Levenshtein, SequenceDistance};
 use ssr_index::{
-    CountingMetric, CoverTree, FnMetric, ItemId, LinearScan, MvReferenceIndex, RangeIndex,
-    ReferenceNet, ReferenceNetConfig, SequenceMetricAdapter,
+    CountingMetric, CoverTree, FamilyScratch, FnMetric, ItemId, LinearScan, Metric,
+    MvReferenceIndex, RangeIndex, ReferenceNet, ReferenceNetConfig, SequenceMetricAdapter,
 };
 use ssr_sequence::Symbol;
 use ssr_storage::{DecodeWith, Encode, Reader, Writer};
@@ -29,6 +31,55 @@ fn encoded<T: Encode>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.encode(&mut w);
     w.into_bytes()
+}
+
+/// Lane `l` of the family asks for `queries[l]`. Every lane must get the
+/// answer of its own one-lane query, and the family must visit at least the
+/// nodes its hungriest lane visits alone and at most those all lanes visit
+/// between them — each node once, never once per lane.
+fn family_is_the_union_of_its_lanes<I: RangeIndex<f64>>(
+    index: &I,
+    counter: &CallCounter,
+    queries: &[f64],
+    radius: f64,
+) -> Result<(), TestCaseError> {
+    let mut alone = Vec::new();
+    let mut calls_alone = Vec::new();
+    for query in queries {
+        counter.reset();
+        alone.push(sorted_ids(index.range_query(query, radius)));
+        calls_alone.push(counter.get());
+    }
+    let mut visits = 0u64;
+    let mut scratch = FamilyScratch::default();
+    index.family_query(
+        queries.len(),
+        radius,
+        |item, tau, out| {
+            visits += 1;
+            for (slot, query) in out.iter_mut().zip(queries) {
+                *slot = scalar_metric()
+                    .dist_within(query, item, tau)
+                    .unwrap_or(f64::INFINITY);
+            }
+        },
+        &mut scratch,
+    );
+    prop_assert!(scratch.hits().is_sorted(), "hits come by lane, then by id");
+    for (lane, expected) in alone.iter().enumerate() {
+        let hits = scratch.hits().iter().filter(|hit| hit.0 == lane);
+        let got: Vec<usize> = hits.map(|hit| hit.1 .0).collect();
+        prop_assert_eq!(&got, expected, "lane {}", lane);
+    }
+    let most = calls_alone.iter().copied().max().unwrap_or(0);
+    let total: u64 = calls_alone.iter().sum();
+    prop_assert!(
+        most <= visits && visits <= total,
+        "{} visits for lanes that take {:?} alone",
+        visits,
+        calls_alone
+    );
+    Ok(())
 }
 
 type WindowFn = fn(&Vec<Symbol>, &Vec<Symbol>) -> f64;
@@ -114,6 +165,54 @@ proptest! {
             sorted_ids(mv.range_query(&query, radius)),
             sorted_ids(scan.range_query(&query, radius))
         );
+    }
+
+    #[test]
+    fn family_queries_equal_their_one_lane_queries(
+        values in prop::collection::vec(-50.0f64..50.0, 1..80),
+        queries in prop::collection::vec(-60.0f64..60.0, 1..7),
+        radius in 0.0f64..40.0,
+        cap in prop::option::of(1usize..4),
+        delete_every in 2usize..9,
+    ) {
+        let counter = CallCounter::new();
+        let counted = || CountingMetric::new(scalar_metric(), counter.clone());
+
+        let mut config = ReferenceNetConfig::default();
+        if let Some(c) = cap {
+            config = config.with_max_parents(c);
+        }
+        let mut net = ReferenceNet::with_config(counted(), config);
+        net.extend(values.iter().copied());
+        family_is_the_union_of_its_lanes(&net, &counter, &queries, radius)?;
+        for i in (0..values.len()).step_by(delete_every) {
+            net.delete(ItemId(i));
+        }
+        family_is_the_union_of_its_lanes(&net, &counter, &queries, radius)?;
+        let loaded =
+            ReferenceNet::<f64, _>::decode_with(&mut Reader::new(&encoded(&net)), counted())
+                .unwrap();
+        family_is_the_union_of_its_lanes(&loaded, &counter, &queries, radius)?;
+
+        let mut tree = CoverTree::new(counted());
+        tree.extend(values.iter().copied());
+        family_is_the_union_of_its_lanes(&tree, &counter, &queries, radius)?;
+        let loaded =
+            CoverTree::<f64, _>::decode_with(&mut Reader::new(&encoded(&tree)), counted())
+                .unwrap();
+        family_is_the_union_of_its_lanes(&loaded, &counter, &queries, radius)?;
+
+        let mut mv = MvReferenceIndex::new(counted(), 3);
+        mv.extend(values.iter().copied());
+        family_is_the_union_of_its_lanes(&mv, &counter, &queries, radius)?;
+        let loaded =
+            MvReferenceIndex::<f64, _>::decode_with(&mut Reader::new(&encoded(&mv)), counted())
+                .unwrap();
+        family_is_the_union_of_its_lanes(&loaded, &counter, &queries, radius)?;
+
+        let mut scan = LinearScan::new(counted());
+        scan.extend(values.iter().copied());
+        family_is_the_union_of_its_lanes(&scan, &counter, &queries, radius)?;
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! * fixed-length window partitioning ([`window`]) used for the database side
 //!   of the framework (step 1 of Section 7 of the paper); windows are
 //!   `(sequence, start, len)` views into the arena, not owned vectors;
-//! * query segment extraction ([`segment`]) used for the query side
-//!   (step 3 of Section 7);
+//! * query segment families ([`segment`]) used for the query side
+//!   (step 3 of Section 7): borrowed, one per query offset;
 //! * alphabet helpers ([`alphabet`]) for DNA, protein and pitch data.
 
 pub mod alphabet;
@@ -41,6 +41,6 @@ pub mod window;
 pub use alphabet::{Alphabet, DNA_ALPHABET, PITCH_ALPHABET, PROTEIN_ALPHABET};
 pub use arena::ElementArena;
 pub use element::{Element, Pitch, Point2D, Point3D, Symbol};
-pub use segment::{extract_segments, segment_count, Segment, SegmentSpec};
+pub use segment::{segment_count, segment_families, SegmentFamily, SegmentSpec};
 pub use sequence::{Sequence, SequenceDataset, SequenceId};
 pub use window::{partition_windows, partition_windows_dataset, Window, WindowId, WindowStore};

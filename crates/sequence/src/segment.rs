@@ -6,9 +6,6 @@
 //! `(2·λ0 + 1) · |Q|` segments, the quantity the paper's complexity analysis
 //! (Equation 5) relies on.
 
-use crate::element::Element;
-use crate::sequence::Sequence;
-
 /// Specification of the segment lengths to extract from a query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SegmentSpec {
@@ -49,60 +46,50 @@ impl SegmentSpec {
     }
 }
 
-/// A query segment: a contiguous slice of the query with provenance.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Segment<E> {
-    /// 0-based offset of the segment within the query.
+/// The query segments that start at one offset. They are prefixes of one
+/// another, so the family is held as its longest member, borrowed from the
+/// query: lane `k` is the segment `longest[..min_len + k]`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SegmentFamily<'q, E> {
+    /// 0-based offset of every segment of the family within the query.
     pub start: usize,
-    /// The segment's elements.
-    pub data: Vec<E>,
+    /// Length of the shortest segment (`spec.min_len()`).
+    pub min_len: usize,
+    /// The longest segment at this offset: `spec.max_len()` elements, fewer
+    /// where the query ends first.
+    pub longest: &'q [E],
 }
 
-impl<E: Element> Segment<E> {
-    /// Segment length.
-    pub fn len(&self) -> usize {
-        self.data.len()
+impl<'q, E> SegmentFamily<'q, E> {
+    /// Number of segments in the family (never zero).
+    pub fn lanes(&self) -> usize {
+        self.longest.len() + 1 - self.min_len
     }
 
-    /// Whether the segment is empty (never true for extracted segments).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Half-open range covered within the query.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.data.len()
-    }
-
-    /// End offset (exclusive) within the query.
-    pub fn end(&self) -> usize {
-        self.start + self.data.len()
+    /// The segment of lane `lane` (`0` is the shortest).
+    pub fn segment(&self, lane: usize) -> &'q [E] {
+        &self.longest[..self.min_len + lane]
     }
 }
 
-/// Extracts every segment of `query` whose length lies within `spec`'s bounds.
-///
-/// Segments are produced in order of increasing length, then increasing start
-/// offset; this ordering is deterministic and relied upon by tests.
-pub fn extract_segments<E: Element>(query: &Sequence<E>, spec: SegmentSpec) -> Vec<Segment<E>> {
-    let n = query.len();
-    let mut segments = Vec::with_capacity(segment_count(n, spec));
-    for len in spec.min_len()..=spec.max_len() {
-        if len > n {
-            break;
-        }
-        for start in 0..=(n - len) {
-            segments.push(Segment {
-                start,
-                data: query.elements()[start..start + len].to_vec(),
-            });
-        }
-    }
-    segments
+/// The segment families of `query` under `spec`, by increasing offset:
+/// between them they hold every segment whose length lies within `spec`'s
+/// bounds exactly once, and nothing is copied.
+pub fn segment_families<E>(
+    query: &[E],
+    spec: SegmentSpec,
+) -> impl Iterator<Item = SegmentFamily<'_, E>> {
+    let (min_len, max_len) = (spec.min_len(), spec.max_len());
+    let offsets = (query.len() + 1).saturating_sub(min_len);
+    (0..offsets).map(move |start| SegmentFamily {
+        start,
+        min_len,
+        longest: &query[start..query.len().min(start + max_len)],
+    })
 }
 
-/// Number of segments [`extract_segments`] will produce for a query of length
-/// `query_len` under `spec`.
+/// Number of segments the [`segment_families`] of a query of length
+/// `query_len` hold between them under `spec`.
 pub fn segment_count(query_len: usize, spec: SegmentSpec) -> usize {
     let mut count = 0;
     for len in spec.min_len()..=spec.max_len() {
@@ -119,8 +106,15 @@ mod tests {
     use super::*;
     use crate::element::Symbol;
 
-    fn seq(text: &str) -> Sequence<Symbol> {
-        Sequence::new(text.chars().map(Symbol::from_char).collect())
+    fn seq(text: &str) -> Vec<Symbol> {
+        text.chars().map(Symbol::from_char).collect()
+    }
+
+    /// Every `(start, length)` the families hold, in family order.
+    fn segments(query: &[Symbol], spec: SegmentSpec) -> Vec<(usize, usize)> {
+        segment_families(query, spec)
+            .flat_map(|f| (0..f.lanes()).map(move |lane| (f.start, f.segment(lane).len())))
+            .collect()
     }
 
     #[test]
@@ -141,20 +135,26 @@ mod tests {
     #[test]
     fn zero_shift_extracts_sliding_windows_only() {
         let spec = SegmentSpec::new(3, 0);
-        let segments = extract_segments(&seq("ABCDEF"), spec);
-        assert_eq!(segments.len(), 4);
-        assert!(segments.iter().all(|s| s.len() == 3));
-        let starts: Vec<usize> = segments.iter().map(|s| s.start).collect();
+        let q = seq("ABCDEF");
+        let families: Vec<_> = segment_families(&q, spec).collect();
+        assert_eq!(families.len(), 4);
+        assert!(families
+            .iter()
+            .all(|f| f.lanes() == 1 && f.longest.len() == 3));
+        let starts: Vec<usize> = families.iter().map(|f| f.start).collect();
         assert_eq!(starts, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn shift_widens_length_range() {
         let spec = SegmentSpec::new(3, 1);
-        let segments = extract_segments(&seq("ABCDE"), spec);
+        let q = seq("ABCDE");
         // lengths 2,3,4 -> (5-2+1)+(5-3+1)+(5-4+1) = 4+3+2 = 9
-        assert_eq!(segments.len(), 9);
-        assert_eq!(segments.len(), segment_count(5, spec));
+        assert_eq!(segments(&q, spec).len(), 9);
+        assert_eq!(segment_count(5, spec), 9);
+        // The families at the tail are cut where the query ends.
+        let lanes: Vec<usize> = segment_families(&q, spec).map(|f| f.lanes()).collect();
+        assert_eq!(lanes, vec![3, 3, 2, 1]);
     }
 
     #[test]
@@ -163,12 +163,20 @@ mod tests {
             for max_shift in 0..4 {
                 for n in 0..12 {
                     let spec = SegmentSpec::new(window_len, max_shift);
-                    let q = Sequence::new(vec![Symbol::from_char('A'); n]);
+                    let q = vec![Symbol::from_char('A'); n];
+                    let mut held = segments(&q, spec);
                     assert_eq!(
-                        extract_segments(&q, spec).len(),
+                        held.len(),
                         segment_count(n, spec),
                         "window_len={window_len} max_shift={max_shift} n={n}"
                     );
+                    // Each (start, length) within bounds exactly once.
+                    held.sort_unstable();
+                    held.dedup();
+                    assert_eq!(held.len(), segment_count(n, spec));
+                    assert!(held.iter().all(|&(start, len)| {
+                        (spec.min_len()..=spec.max_len()).contains(&len) && start + len <= n
+                    }));
                 }
             }
         }
@@ -188,18 +196,20 @@ mod tests {
     #[test]
     fn query_shorter_than_min_len_yields_nothing() {
         let spec = SegmentSpec::new(10, 2);
-        assert!(extract_segments(&seq("ABC"), spec).is_empty());
+        assert_eq!(segment_families(&seq("ABC"), spec).count(), 0);
         assert_eq!(segment_count(3, spec), 0);
     }
 
     #[test]
     fn segments_carry_correct_provenance() {
-        let spec = SegmentSpec::new(2, 0);
+        let spec = SegmentSpec::new(2, 1);
         let q = seq("WXYZ");
-        let segments = extract_segments(&q, spec);
-        for s in &segments {
-            assert_eq!(&q.elements()[s.range()], s.data.as_slice());
-            assert_eq!(s.end(), s.start + s.len());
+        for family in segment_families(&q, spec) {
+            for lane in 0..family.lanes() {
+                let segment = family.segment(lane);
+                assert_eq!(segment.len(), family.min_len + lane);
+                assert_eq!(&q[family.start..family.start + segment.len()], segment);
+            }
         }
     }
 
