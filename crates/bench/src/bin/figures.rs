@@ -16,7 +16,7 @@ use ssr_bench::{
     build_index, distance_histogram, print_header, print_table, protein_windows, pruning_ratio,
     song_windows, traj_windows, IndexChoice, QuerySet, Scale, Table,
 };
-use ssr_core::{build_candidates, FrameworkConfig, SubsequenceDatabase};
+use ssr_core::{build_regions, FrameworkConfig, SubsequenceDatabase};
 use ssr_datagen::{generate_proteins, ProteinConfig};
 use ssr_distance::{DiscreteFrechet, Erp, Levenshtein, SequenceDistance};
 use ssr_sequence::{Element, Sequence};
@@ -501,11 +501,11 @@ fn fig12(scale: Scale) {
             windows_hit.sort_unstable();
             windows_hit.dedup();
             unique += windows_hit.len();
-            let candidates = build_candidates(&matches, config.window_len(), config.max_shift);
-            consecutive += candidates
+            let regions = build_regions(&matches, config.window_len(), config.max_shift);
+            consecutive += regions
                 .iter()
-                .filter(|c| c.chain_len >= 2)
-                .map(|c| c.chain_len)
+                .filter(|r| r.chain_len >= 2)
+                .map(|r| r.chain_len)
                 .sum::<usize>();
         }
         let denom = (queries.len() * total_windows) as f64;

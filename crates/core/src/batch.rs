@@ -275,6 +275,29 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_verify_stage_splits_into_table_and_scan_time() {
+        let db = planted_db();
+        let query = &queries()[0];
+        let mut ctx = ExecCtx::default().with_trace(7);
+        let traced = db.query_type2_ctx(query, 3.0, &mut ctx);
+        let events = ctx.trace.as_ref().expect("tracing is on").events();
+        let at = events
+            .iter()
+            .position(|e| e.name == "verify")
+            .expect("a verify span");
+        let (verify, children) = (&events[at], &events[at + 1..at + 3]);
+        let names: Vec<_> = children.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["verify_tables", "verify_scan"]);
+        assert!(children.iter().all(|e| e.depth == verify.depth + 1));
+        assert!(children[0].dur_ns > 0, "a planted query computes tables");
+        let split: u64 = children.iter().map(|e| e.dur_ns).sum();
+        assert!(split <= verify.dur_ns && split >= verify.dur_ns / 2);
+        assert_eq!(split, ctx.timings.verify_ns);
+        // Observation only: the untraced path (no clock per table) agrees.
+        assert_eq!(traced, db.query_type2(query, 3.0));
+    }
+
+    #[test]
     fn batch_type2_matches_sequential_queries() {
         let db = planted_db();
         let engine = QueryEngine::new(&db).with_threads(4);

@@ -42,11 +42,11 @@ pub mod wire;
 
 pub use batch::{BatchOutcome, QueryEngine};
 pub use brute::{all_similar_pairs, longest_similar_pair, nearest_pair, BruteConstraints};
-pub use candidates::{build_candidates, Candidate, SegmentMatch};
+pub use candidates::{build_regions, Region, SegmentMatch};
 pub use client::{backoff_delay, ClientConfig, ClientError, WireClient};
 pub use config::{FrameworkConfig, FrameworkError, IndexBackend};
 pub use database::{DatabaseBuilder, SegmentScan, SubsequenceDatabase};
-pub use expand::{enumerate_pairs, ExpansionLimits};
+pub use expand::{Expansion, Pair};
 pub use live::{load_with_wal, wal_path_for, LiveDatabase, WalOp};
 pub use parallel::{parallel_map, resolve_threads, ShardStats, ShardedMemo};
 pub use query::{QueryOutcome, QueryStats, StageTimings, SubsequenceMatch};

@@ -6,9 +6,9 @@ use std::time::Instant;
 use ssr_distance::{EndSpec, SequenceDistance};
 use ssr_sequence::{Element, Sequence, SequenceId};
 
-use crate::candidates::{build_candidates, Candidate, SegmentMatch};
+use crate::candidates::{build_regions, Region, SegmentMatch};
 use crate::database::SubsequenceDatabase;
-use crate::expand::{pairs_within, ExpansionLimits};
+use crate::expand::{Expansion, Pair, DEAD, FRESH};
 
 /// A verified pair of similar subsequences.
 #[derive(Clone, PartialEq, Debug)]
@@ -51,11 +51,13 @@ pub struct QueryStats {
     pub segment_matches: usize,
     /// Number of distinct windows matched by at least one segment.
     pub unique_windows: usize,
-    /// Number of windows that are part of a chain of length at least two.
+    /// Number of windows in the longest chains (of two or more) of the regions.
     pub consecutive_windows: usize,
-    /// Number of chained candidates generated (step 5).
+    /// Number of candidate regions generated (step 5a).
     pub candidates: usize,
-    /// Distance evaluations spent verifying candidate subsequence pairs.
+    /// Pairs asked about in step 5b: one per start pair opened (an end table
+    /// computed, found dead or not) and one per pair read from a live table
+    /// after that. The other pairs of a dead start pair are not counted.
     pub verification_calls: u64,
     /// Dynamic-program cells evaluated by the distance kernels across the
     /// whole query (index filtering **and** verification). Deterministic and
@@ -64,10 +66,10 @@ pub struct QueryStats {
     /// `index_distance_calls` / `verification_calls` stay exactly the same.
     pub dp_cells_evaluated: u64,
     /// Distance evaluations resolved by a cheap lower bound alone, without
-    /// running any dynamic program: in step 4 one per family visit whose
-    /// segments are *all* bounded out, in step 5b one per candidate pair.
+    /// running any dynamic program: one per step-4 family visit whose segments
+    /// are *all* bounded out. (Step 5b tries none before its tables.)
     pub pruned_by_lower_bound: u64,
-    /// Whether the verification budget (`max_verifications`) was exhausted.
+    /// Whether a pair was asked about after `max_verifications` were spent.
     pub budget_exhausted: bool,
 }
 
@@ -179,209 +181,175 @@ impl ExecCtx {
     }
 }
 
-/// Step 5b over one candidate list: verifies each expanded pair at most once
-/// against the radius `epsilon`, charging `max_verifications`, and accounts
-/// the stage's time, cells and prunes when finished. The expansion grids of
-/// overlapping candidates repeat pairs; `seen` makes sure each is verified
-/// (and charged) only once.
+/// Step 5b over one region list: answers every pair of a region once
+/// against the radius `epsilon` and accounts the stage when finished.
 ///
-/// A pair's distance is not computed pair by pair. All pairs of a candidate
-/// that start at the same `(qs, xs)` are prefixes of one another's inputs, so
-/// one [`SequenceDistance::end_table`] from that start — run when the first
-/// of them gets past the lower bounds — holds the distance of every one, and
-/// the rest are reads.
+/// All pairs of a region that start at the same `(qs, xs)` are prefixes of
+/// one another's inputs, so one [`SequenceDistance::end_table`] from that
+/// start to its farthest ends — run when the first of them is asked about —
+/// holds every one's distance, and the rest are reads. A start pair whose
+/// table holds nothing within `epsilon` (abandoned before the first wanted
+/// row, typically) is marked dead and its remaining pairs are never visited.
+///
+/// **Budget rule.** One unit of `max_verifications`, and one
+/// `verification_calls`, per pair *asked about*: the pair that opens a start
+/// pair (found dead or not) and every pair read from a live table after it.
+/// The other pairs of a dead start pair are never asked about: they are free.
 struct Verifier<'a, E: Element, D: SequenceDistance<E>> {
     db: &'a SubsequenceDatabase<E, D>,
     query: &'a Sequence<E>,
-    /// Prefix gap sums of the query, when the distance can exploit them.
-    query_gap: Option<crate::database::GapPrefix>,
     epsilon: f64,
-    seen: std::collections::HashSet<(SequenceId, usize, usize, usize, usize)>,
     budget: u64,
     calls: u64,
-    /// Set once a new pair arrived with no budget left to verify it.
+    /// Set once a pair was asked about with no budget left to answer it.
     exhausted: bool,
     started: Instant,
     cells_before: u64,
-    prunes_before: u64,
-    /// The candidate being expanded ([`Self::expand`]): its sequence, its
-    /// limits and its end tables, which are dropped at the next candidate.
-    sequence: SequenceId,
-    db_elements: &'a [E],
-    limits: ExpansionLimits,
-    /// Where in `tables` the table of each start pair begins, row-major over
-    /// `limits.query_start × limits.db_start`; [`NO_TABLE`] until computed.
-    table_of_start: Vec<usize>,
-    /// The tables computed for this candidate, back to back. Each has one
-    /// slot per `limits.query_end × limits.db_end` end pair.
+    /// The `verify` span, and the time spent on tables — clocked only when
+    /// the query is traced.
+    span: usize,
+    table_ns: Option<u64>,
+    /// The live end tables of the region being verified, back to back, the
+    /// wanted diagonals only: one row per `|SQ|` from `λ` up, `2λ0 + 1` slots
+    /// per row (`|SX| − |SQ| = −λ0 ..= λ0`). Reserved once, a row per unit of
+    /// the budget and at most 8 MiB, and never grown: address space, not
+    /// memory — a page nothing is written to is never faulted in.
     tables: Vec<f64>,
+    /// Where the kernel writes a whole (rectangular) table first.
+    scratch: Vec<f64>,
 }
 
-/// [`Verifier::table_of_start`] of a start pair nothing has asked about yet.
-const NO_TABLE: usize = usize::MAX;
-
 impl<'a, E: Element + Send + Sync, D: SequenceDistance<E>> Verifier<'a, E, D> {
-    fn start(db: &'a SubsequenceDatabase<E, D>, query: &'a Sequence<E>, epsilon: f64) -> Self {
+    fn start(
+        db: &'a SubsequenceDatabase<E, D>,
+        query: &'a Sequence<E>,
+        epsilon: f64,
+        ctx: &mut ExecCtx,
+    ) -> Self {
+        let span = ctx.span_begin("verify");
+        let config = db.config();
+        let arena = (config.max_verifications).saturating_mul(2 * config.max_shift + 1);
         Verifier {
             db,
             query,
-            // Computed once per pass, reused across every candidate pair;
-            // the database-side tables were built at index time.
-            query_gap: db
-                .gap_prefixes
-                .as_ref()
-                .map(|_| crate::database::GapPrefix::build(query.elements())),
             epsilon,
-            seen: Default::default(),
-            budget: db.config().max_verifications as u64,
+            budget: config.max_verifications as u64,
             calls: 0,
             exhausted: false,
             started: Instant::now(),
             cells_before: ssr_distance::dp_cells_thread_total(),
-            prunes_before: ssr_distance::lower_bound_prunes_thread_total(),
-            sequence: SequenceId(0),
-            db_elements: &[],
-            limits: ExpansionLimits::default(),
-            table_of_start: Vec::new(),
-            tables: Vec::new(),
+            span,
+            table_ns: ctx.trace.is_some().then_some(0),
+            tables: Vec::with_capacity(arena.min(1 << 20)),
+            scratch: Vec::new(),
         }
     }
 
-    /// Makes `candidate` the one being verified and returns its pairs in
-    /// verification order ([`enumerate_pairs`]); `None` when its sequence is
-    /// no longer stored.
-    ///
-    /// [`enumerate_pairs`]: crate::expand::enumerate_pairs
-    fn expand(
+    /// Answers one pair of a painted region of `sequence`: the match when it
+    /// verifies within `epsilon`. `None` also when the budget has run out
+    /// ([`Self::exhausted`]).
+    fn ask(
         &mut self,
-        candidate: &Candidate,
-    ) -> Option<impl Iterator<Item = (Range<usize>, Range<usize>)>> {
-        let config = self.db.config();
-        let db_seq = self.db.sequence(candidate.sequence)?;
-        self.sequence = candidate.sequence;
-        self.db_elements = db_seq.elements();
-        self.limits = ExpansionLimits::new(candidate, config, self.query.len(), db_seq.len());
-        self.tables.clear();
-        self.table_of_start.clear();
-        self.table_of_start.resize(
-            self.limits.query_start.len() * self.limits.db_start.len(),
-            NO_TABLE,
-        );
-        Some(pairs_within(
-            self.limits.clone(),
-            config.lambda,
-            config.max_shift,
-        ))
-    }
-
-    /// The pair — one of the current candidate's — as a match when it is new
-    /// and verifies within `epsilon`. `None` for a repeated pair, a pair
-    /// beyond the radius, or — with [`Self::exhausted`] set — a new pair the
-    /// budget no longer covers.
-    fn verify(&mut self, q_range: Range<usize>, x_range: Range<usize>) -> Option<SubsequenceMatch> {
-        let key = (
-            self.sequence,
-            q_range.start,
-            q_range.end,
-            x_range.start,
-            x_range.end,
-        );
-        if !self.seen.insert(key) {
-            return None;
-        }
+        state: &mut u32,
+        pair: Pair,
+        sequence: SequenceId,
+        db_elements: &[E],
+    ) -> Option<SubsequenceMatch> {
         if self.budget == 0 {
             self.exhausted = true;
             return None;
         }
         self.budget -= 1;
         self.calls += 1;
-        let distance = self.distance_within(&q_range, &x_range);
+        let distance = if *state == FRESH {
+            let clock = self.table_ns.map(|_| Instant::now());
+            let distance = self.open(state, db_elements, pair);
+            if let (Some(total), Some(clock)) = (self.table_ns.as_mut(), clock) {
+                *total += clock.elapsed().as_nanos() as u64;
+            }
+            distance
+        } else {
+            let config = self.db.config();
+            let row = (pair.q_len - config.lambda.max(1)) * (2 * config.max_shift + 1);
+            self.tables[*state as usize + row + (pair.x_len + config.max_shift - pair.q_len)]
+        };
         (distance <= self.epsilon).then_some(SubsequenceMatch {
-            sequence: self.sequence,
-            db_range: x_range,
-            query_range: q_range,
+            sequence,
+            db_range: pair.xs..pair.xs + pair.x_len,
+            query_range: pair.qs..pair.qs + pair.q_len,
             distance,
         })
     }
 
-    /// The distance of one pair of the current candidate if it is within
-    /// `epsilon`, else `f64::INFINITY`. Runs the pruning cascade first: an
-    /// exact length lower bound, then an exact gap-sum lower bound from the
-    /// precomputed prefix tables (both `O(1)` per pair), against the
-    /// threshold clamped to the measure's `max_distance` for this pair's
-    /// lengths. A pair that survives is read from the end table of its start.
-    fn distance_within(&mut self, q_range: &Range<usize>, x_range: &Range<usize>) -> f64 {
-        let db = self.db;
-        if ssr_distance::pruning_enabled() {
-            let (q_len, x_len) = (q_range.len(), x_range.len());
-            let tau = self.clamped_epsilon(q_len.max(x_len));
-            let gap_sums = match (&self.query_gap, &db.gap_prefixes) {
-                (Some(qg), Some(prefixes)) => qg.range_sum(q_range).zip(
-                    prefixes
-                        .get(self.sequence.0)
-                        .and_then(|p| p.range_sum(x_range)),
-                ),
-                _ => None,
-            };
-            if db.bounded_out((q_len, x_len), gap_sums, tau) {
-                ssr_distance::record_lower_bound_prune();
-                return f64::INFINITY;
+    /// Opens the start pair of `pair` and returns `pair`'s distance (`∞`
+    /// beyond `epsilon`): one program from `(qs, xs)` to its farthest ends.
+    /// The wanted diagonals go to [`Self::tables`] and `state` says where —
+    /// or [`DEAD`], when none holds a distance within `epsilon`. A table has
+    /// a row per reachable `|SQ|`, so long true matches of a long query could
+    /// want `live start pairs × |Q|` rows: one that does not fit the arena is
+    /// not kept and its start pair stays [`FRESH`], to be opened again at its
+    /// next pair — which costs time, never an answer. No lower bound is
+    /// tried first: on equal lengths the length bound is zero, and the
+    /// kernel's own band and abandon end a hopeless program within few rows.
+    fn open(&mut self, state: &mut u32, db_elements: &[E], pair: Pair) -> f64 {
+        let config = self.db.config();
+        let (lambda, shift) = (config.lambda.max(1), config.max_shift);
+        // No wanted slot lies more than λ0 off the diagonal.
+        let a_len = (pair.query_last - pair.qs).min(pair.db_last - pair.xs + shift);
+        let b_len = (pair.db_last - pair.xs).min(a_len + shift);
+        let ends = EndSpec {
+            min_a: lambda,
+            min_b: lambda,
+            max_len_diff: shift,
+        };
+        self.scratch.resize(ends.slots(a_len, b_len), f64::INFINITY);
+        self.db.distance.end_table(
+            &self.query.elements()[pair.qs..pair.qs + a_len],
+            &db_elements[pair.xs..pair.xs + b_len],
+            ends,
+            self.epsilon,
+            &mut self.scratch,
+        );
+        let (begin, width) = (self.tables.len(), 2 * shift + 1);
+        let end = begin + (a_len + 1 - lambda) * width;
+        let kept = end <= self.tables.capacity();
+        if kept {
+            self.tables.resize(end, f64::INFINITY);
+        }
+        let mut live = false;
+        // The wanted slots: prefix lengths (i, j) of at least λ, within λ0.
+        for i in lambda..=a_len {
+            for j in lambda.max(i.saturating_sub(shift))..=b_len.min(i + shift) {
+                let distance = self.scratch[ends.slot(b_len, i, j)];
+                live |= distance <= self.epsilon;
+                if kept {
+                    self.tables[begin + (i - lambda) * width + (j + shift - i)] = distance;
+                }
             }
         }
-        self.table_read(q_range, x_range)
-    }
-
-    /// `epsilon` clamped to what the measure can reach on inputs of at most
-    /// `len` elements: distances never exceed `max_distance(len)`, so a wider
-    /// threshold cannot admit anything more (a prune against the clamped
-    /// threshold implies a prune against the unclamped one), and short inputs
-    /// never get pointlessly wide bands.
-    fn clamped_epsilon(&self, len: usize) -> f64 {
-        match self.db.distance.max_distance(len) {
-            Some(bound) => self.epsilon.min(bound),
-            None => self.epsilon,
+        if !live {
+            self.tables.truncate(begin);
+            *state = DEAD;
+        } else if kept {
+            *state = begin as u32;
         }
+        self.scratch[ends.slot(b_len, pair.q_len, pair.x_len)]
     }
 
-    /// The pair's slot in the end table of its start pair, which is computed
-    /// here if this is the first read from that start: one program from
-    /// `(qs, xs)` to the farthest end points the candidate's limits allow.
-    fn table_read(&mut self, q_range: &Range<usize>, x_range: &Range<usize>) -> f64 {
-        let limits = &self.limits;
-        let start = (q_range.start - limits.query_start.start) * limits.db_start.len()
-            + (x_range.start - limits.db_start.start);
-        let a = &self.query.elements()[q_range.start..limits.query_end.end - 1];
-        let b = &self.db_elements[x_range.start..limits.db_end.end - 1];
-        // Rows and columns are the end points of the limits, whatever the
-        // start: the shortest wanted prefix ends at the first of them.
-        let ends = EndSpec {
-            min_a: limits.query_end.start - q_range.start,
-            min_b: limits.db_end.start - x_range.start,
-            max_len_diff: self.db.config().max_shift,
-        };
-        if self.table_of_start[start] == NO_TABLE {
-            let begin = self.tables.len();
-            self.tables
-                .resize(begin + ends.slots(a.len(), b.len()), f64::INFINITY);
-            let tau = self.clamped_epsilon(a.len().max(b.len()));
-            self.db
-                .distance
-                .end_table(a, b, ends, tau, &mut self.tables[begin..]);
-            self.table_of_start[start] = begin;
-        }
-        self.tables[self.table_of_start[start] + ends.slot(b.len(), q_range.len(), x_range.len())]
-    }
-
-    /// Adds the stage's work to `stats` and its wall-clock to `ctx`.
+    /// Adds the stage's work to `stats` and its wall-clock to `ctx`; a traced
+    /// query gets the split into table time and scan time (painting,
+    /// enumeration, reads) as child spans.
     fn finish(self, stats: &mut QueryStats, ctx: &mut ExecCtx) {
         stats.verification_calls += self.calls;
         stats.budget_exhausted |= self.exhausted;
         stats.dp_cells_evaluated += ssr_distance::dp_cells_thread_total() - self.cells_before;
-        stats.pruned_by_lower_bound +=
-            ssr_distance::lower_bound_prunes_thread_total() - self.prunes_before;
         let verify_ns = self.started.elapsed().as_nanos() as u64;
         ctx.timings.verify_ns += verify_ns;
-        ctx.span("verify", verify_ns);
+        if let Some(table_ns) = self.table_ns {
+            ctx.span("verify_tables", table_ns);
+            ctx.span("verify_scan", verify_ns.saturating_sub(table_ns));
+        }
+        ctx.span_end(self.span);
     }
 }
 
@@ -391,8 +359,9 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     ///
     /// As the paper notes, consistency implies that a single long match
     /// induces very many overlapping result pairs, so the result is capped at
-    /// `max_results` (longest query subsequences first) and verification stops
-    /// once `max_verifications` distance evaluations have been spent.
+    /// `max_results` (regions longest chain first, longest query subsequences
+    /// first within one) and verification stops once `max_verifications`
+    /// pairs have been asked about ([`QueryStats::verification_calls`]).
     pub fn query_type1(
         &self,
         query: &Sequence<E>,
@@ -422,24 +391,26 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         stats: &mut QueryStats,
         ctx: &mut ExecCtx,
     ) -> Vec<SubsequenceMatch> {
-        let candidates = self.chain(matches, stats, ctx);
-        let mut verifier = Verifier::start(self, query, epsilon);
+        let regions = self.chain(matches, stats, ctx);
+        let mut verifier = Verifier::start(self, query, epsilon, ctx);
         let mut results: Vec<SubsequenceMatch> = Vec::new();
-        'outer: for candidate in &candidates {
-            let Some(pairs) = verifier.expand(candidate) else {
+        let mut expansion = Expansion::default();
+        // Region by region, each from its longest pairs down; the tables of
+        // one region are dropped at the next.
+        for region in &regions {
+            let Some(stored) = self.sequence(region.sequence) else {
                 continue;
             };
-            for (q_range, x_range) in pairs {
-                let found = verifier.verify(q_range, x_range);
-                if verifier.exhausted {
-                    break 'outer;
-                }
-                if let Some(m) = found {
-                    results.push(m);
-                    if results.len() >= self.config().max_results {
-                        break 'outer;
-                    }
-                }
+            expansion.paint(region, self.config(), (query.len(), stored.len()));
+            verifier.tables.clear();
+            let mut done = false;
+            expansion.for_each_pair(|state, pair| {
+                results.extend(verifier.ask(state, pair, region.sequence, stored.elements()));
+                done = verifier.exhausted || results.len() >= self.config().max_results;
+                done
+            });
+            if done {
+                break;
             }
         }
         results.sort_by(|a, b| {
@@ -454,9 +425,9 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// **Type II — longest similar subsequence.** Maximises `|SQ|` subject to
     /// the same constraints as Type I.
     ///
-    /// Candidates are verified longest-chain first and, within a candidate,
-    /// longest query subsequence first, so the first verified pair of a given
-    /// length is returned as soon as no longer pair remains unexplored.
+    /// All regions are walked together, one `|SQ|` at a time from the longest
+    /// any of them reaches (longest chain first within a length), so the
+    /// first pair that verifies is the answer and nothing shorter is asked.
     pub fn query_type2(
         &self,
         query: &Sequence<E>,
@@ -472,35 +443,29 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         ctx: &mut ExecCtx,
     ) -> QueryOutcome<Option<SubsequenceMatch>> {
         let (matches, mut stats) = self.scan(query, epsilon, ctx);
-        let candidates = self.chain(&matches, &mut stats, ctx);
-        let mut verifier = Verifier::start(self, query, epsilon);
+        let regions = self.chain(&matches, &mut stats, ctx);
+        let mut verifier = Verifier::start(self, query, epsilon, ctx);
+        let mut painted: Vec<_> = (regions.iter())
+            .filter_map(|region| {
+                let stored = self.sequence(region.sequence)?;
+                let mut expansion = Expansion::default();
+                expansion.paint(region, self.config(), (query.len(), stored.len()));
+                Some((expansion, region.sequence, stored.elements()))
+            })
+            .collect();
+        // Every region one length at a time, longest first: the first pair
+        // that verifies is the answer, and no region is asked about a
+        // shorter one.
+        let longest = painted.iter().map(|p| p.0.longest()).max().unwrap_or(0);
         let mut best: Option<SubsequenceMatch> = None;
-        'candidates: for candidate in &candidates {
-            // A chain of k windows can support matches of length at most
-            // (k + 2) * lambda / 2; skip candidates that cannot beat the best.
-            if let Some(ref b) = best {
-                let upper = (candidate.chain_len + 2) * self.config().window_len()
-                    + self.config().max_shift;
-                if upper <= b.query_len() {
-                    continue;
-                }
-            }
-            let Some(pairs) = verifier.expand(candidate) else {
-                continue;
-            };
-            for (q_range, x_range) in pairs {
-                if let Some(ref b) = best {
-                    if q_range.end - q_range.start <= b.query_len() {
-                        // Pairs come by decreasing |SQ|; nothing better
-                        // remains within this candidate.
-                        break;
-                    }
-                }
-                if let Some(m) = verifier.verify(q_range, x_range) {
-                    best = Some(m);
-                }
-                if verifier.exhausted {
-                    break 'candidates;
+        'lengths: for q_len in (self.config().lambda..=longest).rev() {
+            for (expansion, sequence, elements) in &mut painted {
+                expansion.pairs_of_length(q_len, |state, pair| {
+                    best = verifier.ask(state, pair, *sequence, elements);
+                    best.is_some() || verifier.exhausted
+                });
+                if best.is_some() || verifier.exhausted {
+                    break 'lengths;
                 }
             }
         }
@@ -599,32 +564,28 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         (scan.matches, stats)
     }
 
-    /// Step 5a shared by all query types: assemble chained candidates from a
-    /// step-4 match list and record the funnel it produced.
+    /// Step 5a shared by all query types: group a step-4 match list into
+    /// regions and record the funnel it produced.
     fn chain(
         &self,
         matches: &[SegmentMatch],
         stats: &mut QueryStats,
         ctx: &mut ExecCtx,
-    ) -> Vec<Candidate> {
+    ) -> Vec<Region> {
         let chain_started = Instant::now();
         let mut unique_windows: Vec<usize> = matches.iter().map(|m| m.window.0).collect();
         unique_windows.sort_unstable();
         unique_windows.dedup();
-        let candidates =
-            build_candidates(matches, self.config().window_len(), self.config().max_shift);
+        let regions = build_regions(matches, self.config().window_len(), self.config().max_shift);
         let chain_ns = chain_started.elapsed().as_nanos() as u64;
         ctx.timings.chain_ns += chain_ns;
         ctx.span("chain", chain_ns);
         stats.segment_matches = matches.len();
         stats.unique_windows = unique_windows.len();
-        stats.consecutive_windows = candidates
-            .iter()
-            .filter(|c| c.chain_len >= 2)
-            .map(|c| c.chain_len)
-            .sum();
-        stats.candidates = candidates.len();
-        candidates
+        let chains = regions.iter().map(|r| r.chain_len).filter(|&k| k >= 2);
+        stats.consecutive_windows = chains.sum();
+        stats.candidates = regions.len();
+        regions
     }
 }
 

@@ -4,13 +4,15 @@
 //! on the reported ranges, for each kind of built-in program (banded
 //! integer, banded float, sum, bottleneck, lockstep); a Type I answer is the
 //! brute-force answer on inputs small enough to enumerate; and the
-//! verification budget is charged pair by pair exactly as before tables.
+//! verification budget is charged per pair asked about — a start pair with
+//! nothing within the radius once, whatever number of pairs it stands for.
 
 use std::collections::BTreeSet;
 
+use ssr_core::expand::{Expansion, DEAD, FRESH};
 use ssr_core::{
-    all_similar_pairs, BruteConstraints, FrameworkConfig, IndexBackend, SubsequenceDatabase,
-    SubsequenceMatch,
+    all_similar_pairs, build_regions, BruteConstraints, FrameworkConfig, IndexBackend,
+    SubsequenceDatabase, SubsequenceMatch,
 };
 use ssr_distance::{DiscreteFrechet, Dtw, Erp, Euclidean, Levenshtein, SequenceDistance};
 use ssr_sequence::{Element, Pitch, Point2D, Sequence, Symbol};
@@ -196,12 +198,14 @@ fn uncapped(lambda: usize, max_shift: usize) -> FrameworkConfig {
     config
 }
 
-/// The framework reaches a similar pair only through a candidate whose
-/// expansion limits cover its four end points (§7 of the paper), and it does
-/// not chain every run of matched windows. So the plants here are barely
-/// longer than `λ` and the radii tight: every similar pair then lies inside
-/// one candidate's limits, and Type I must return exactly the brute-force
-/// set — no pair lost to a table, none invented, each distance to the bit.
+/// The framework reaches a similar pair through a region one of whose start
+/// rectangles holds its start points and whose chains from there reach within
+/// `λ/2 (+ λ0)` of its end points (§7 of the paper). A region holds the pairs
+/// of every sub-chain of its runs, so on plants several windows long — five
+/// and a half here — at radii a few redrawn elements wide, every similar pair
+/// is within that reach and Type I must return exactly the brute-force set:
+/// no pair lost to a table or a dead start pair, none invented, none twice,
+/// each distance to the bit.
 #[test]
 fn type1_is_the_brute_force_answer_on_small_inputs() {
     fn check<E: Element + Send + Sync, D: SequenceDistance<E> + Clone>(
@@ -218,7 +222,7 @@ fn type1_is_the_brute_force_answer_on_small_inputs() {
         };
         let brute = all_similar_pairs(query, db.dataset(), &distance, constraints, epsilon);
         assert!(
-            brute.len() > 1,
+            brute.len() > 100,
             "{}: brute force found {} pairs",
             distance.name(),
             brute.len()
@@ -235,33 +239,82 @@ fn type1_is_the_brute_force_answer_on_small_inputs() {
         );
         assert_eq!(found.len(), brute.len(), "a pair was reported twice");
     }
-    for seed in [5, 29] {
-        let (sequences, query) = planted(seed, 26, (6, 9, 6), symbol);
+    for seed in [5, 29, 47] {
+        let (sequences, query) = planted(seed, 44, (6, 23, 6), symbol);
         check(Levenshtein::new(), &sequences, &query, 2.0);
-        let (sequences, query) = planted(seed, 26, (9, 9, usize::MAX), pitch);
+        let (sequences, query) = planted(seed, 44, (9, 22, usize::MAX), pitch);
         check(Erp::new(), &sequences, &query, 1.0);
-        let (sequences, query) = planted(seed, 26, (4, 9, usize::MAX), point);
+        let (sequences, query) = planted(seed, 44, (4, 21, usize::MAX), point);
         check(DiscreteFrechet::new(), &sequences, &query, 1.5);
     }
 }
 
+/// What `verification_calls` must read by the budget rule, from the public
+/// enumeration and the kernel alone: one per pair asked about — the pair
+/// that opens a start pair and, when any pair from that start is within
+/// `epsilon`, every later pair of it; a dead start pair is never asked again.
+fn calls_by_the_rule<E: Element + Send + Sync, D: SequenceDistance<E>>(
+    db: &SubsequenceDatabase<E, D>,
+    query: &Sequence<E>,
+    epsilon: f64,
+) -> u64 {
+    let config = db.config();
+    let scan = db.matching_segments(query, epsilon);
+    let mut expansion = Expansion::default();
+    let mut calls = 0;
+    for region in build_regions(&scan.matches, config.window_len(), config.max_shift) {
+        let stored = db.sequence(region.sequence).expect("a stored sequence");
+        expansion.paint(&region, config, (query.len(), stored.len()));
+        expansion.for_each_pair(|state, p| {
+            calls += 1;
+            if *state == FRESH {
+                let within = |i: usize, j: usize| {
+                    let sq = &query.elements()[p.qs..p.qs + i];
+                    db.distance()
+                        .distance(sq, &stored.elements()[p.xs..p.xs + j])
+                        <= epsilon
+                };
+                let live = (config.lambda..=p.query_last - p.qs).any(|i| {
+                    (config.lambda..=p.db_last - p.xs)
+                        .any(|j| i.abs_diff(j) <= config.max_shift && within(i, j))
+                });
+                *state = if live { 0 } else { DEAD };
+            }
+            false
+        });
+    }
+    calls
+}
+
 #[test]
-fn the_budget_is_charged_pair_by_pair() {
-    let (sequences, query) = planted(41, 60, (13, 23, 6), point);
+fn the_budget_is_charged_per_pair_asked_about() {
+    let (sequences, query) = planted(41, 40, (9, 21, 6), point);
     let free = build(uncapped(8, 2), DiscreteFrechet::new(), &sequences);
     let epsilon = 5.0;
     let unbudgeted = free.query_type1(&query, epsilon);
     let wanted = unbudgeted.stats.verification_calls;
     assert!(!unbudgeted.stats.budget_exhausted);
-    assert!(wanted > 500, "only {wanted} pairs to verify");
+    assert!(wanted > 500, "only {wanted} pairs asked about");
+    assert_eq!(wanted, calls_by_the_rule(&free, &query, epsilon));
     let all = keys(&unbudgeted.result);
+
+    // The same on a banded integer program.
+    let (symbols, symbol_query) = planted(41, 40, (9, 21, 6), symbol);
+    let strings = build(uncapped(8, 2), Levenshtein::new(), &symbols);
+    assert_eq!(
+        strings
+            .query_type1(&symbol_query, 3.0)
+            .stats
+            .verification_calls,
+        calls_by_the_rule(&strings, &symbol_query, 3.0)
+    );
 
     for budget in [1u64, 7, 500, wanted, wanted + 1] {
         let mut config = uncapped(8, 2);
         config.max_verifications = budget as usize;
         let db = build(config, DiscreteFrechet::new(), &sequences);
         let outcome = db.query_type1(&query, epsilon);
-        // Exhausted exactly when a pair not seen before was refused: the
+        // Exhausted exactly when a pair was asked about and refused: the
         // unbudgeted run says how many there are to ask about.
         assert_eq!(outcome.stats.verification_calls, budget.min(wanted));
         assert_eq!(outcome.stats.budget_exhausted, budget < wanted);
@@ -274,4 +327,36 @@ fn the_budget_is_charged_pair_by_pair() {
         }
         assert!(db.query_type2(&query, epsilon).stats.verification_calls <= budget);
     }
+}
+
+/// A region's table arena holds at most one row per unit of the budget.
+/// Past that a live table is not kept and its start pair is opened again at
+/// every pair — more cells, the same answers, the same budget spent.
+#[test]
+fn a_full_table_arena_costs_cells_not_answers() {
+    // A long exact copy: a dozen reachable lengths' worth of rows per table,
+    // and Type I stops at its result cap long before the budget.
+    let (sequences, query) = planted(7, 120, (10, 90, usize::MAX), symbol);
+    let outcome = |budget: usize| {
+        let mut config = FrameworkConfig::new(8).with_max_shift(2);
+        (config.max_results, config.max_verifications) = (60, budget);
+        let db = build(config, Levenshtein::new(), &sequences);
+        let outcome = db.query_type1(&query, 2.0);
+        for m in &outcome.result {
+            assert_exact(&db, &query, m, "Type I");
+        }
+        outcome
+    };
+    let roomy = outcome(usize::MAX);
+    // Just enough budget for the pairs asked about: room for that many rows,
+    // a few tables' worth, where the start pairs that answer need dozens.
+    let tight = outcome(roomy.stats.verification_calls as usize);
+    assert_eq!(roomy.result.len(), 60);
+    assert_eq!(roomy.result, tight.result);
+    assert!(!tight.stats.budget_exhausted);
+    assert_eq!(
+        roomy.stats.verification_calls,
+        tight.stats.verification_calls
+    );
+    assert!(roomy.stats.dp_cells_evaluated < tight.stats.dp_cells_evaluated);
 }

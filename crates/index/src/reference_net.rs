@@ -112,6 +112,62 @@ impl Decisions<'_> {
     }
 }
 
+/// What the insert descent in flight knows about a node.
+#[derive(Clone, Copy)]
+enum Mark {
+    /// Its exact distance to the new item.
+    Exact(f64),
+    /// It lies farther from the new item than this radius.
+    Beyond(f64),
+    /// Queued for evaluation in the gather step under way.
+    Pending,
+}
+
+/// One slot per node for the descent in flight: a node is evaluated at most
+/// once per insert, however many parents and levels lead to it. Slots and
+/// list memberships are stamped, so starting a descent or a gather step
+/// invalidates the previous one's without touching the arrays.
+#[derive(Clone, Default)]
+struct Marks {
+    tick: u64,
+    /// Stamp of the descent under way, and of its current gather step.
+    descent: u64,
+    step: u64,
+    slots: Vec<(u64, Mark)>,
+    /// Per node, the step in which it entered the next candidate list.
+    listed: Vec<u64>,
+}
+
+impl Marks {
+    /// Starts a descent over `nodes` nodes: nothing is known.
+    fn begin(&mut self, nodes: usize) {
+        self.slots.resize(nodes, (0, Mark::Pending));
+        self.listed.resize(nodes, 0);
+        self.tick += 1;
+        self.descent = self.tick;
+    }
+
+    /// Starts a gather step: nothing is listed.
+    fn next_step(&mut self) {
+        self.tick += 1;
+        self.step = self.tick;
+    }
+
+    fn get(&self, n: usize) -> Option<Mark> {
+        let (stamp, mark) = self.slots[n];
+        (stamp == self.descent).then_some(mark)
+    }
+
+    fn set(&mut self, n: usize, mark: Mark) {
+        self.slots[n] = (self.descent, mark);
+    }
+
+    /// Lists `n` for this step; `false` when it already was.
+    fn list(&mut self, n: usize) -> bool {
+        std::mem::replace(&mut self.listed[n], self.step) != self.step
+    }
+}
+
 /// The Reference Net metric index.
 #[derive(Clone)]
 pub struct ReferenceNet<T, M> {
@@ -123,6 +179,8 @@ pub struct ReferenceNet<T, M> {
     root: Option<usize>,
     live_count: usize,
     build_threads: usize,
+    /// Scratch of the insert descents; holds nothing between them.
+    marks: Marks,
 }
 
 /// Minimum number of pending child-distance evaluations in one [`gather`]
@@ -157,6 +215,7 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
             root: None,
             live_count: 0,
             build_threads: 1,
+            marks: Marks::default(),
         }
     }
 
@@ -167,12 +226,11 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// insertion order by design — but each level's candidate-children
     /// distances are pure functions of the items, so they can be evaluated
     /// concurrently and replayed into the exact sequential decision
-    /// procedure: the resulting structure is bit-identical at every thread
-    /// count. (The *number* of metric evaluations can differ slightly: the
-    /// parallel path evaluates each distinct child once, where the
-    /// sequential path may re-evaluate a child rejected under one parent and
-    /// reached again under another.) Worthwhile for expensive metrics or
-    /// wide nets; small fan-outs stay sequential regardless.
+    /// procedure: the resulting structure **and the number of metric
+    /// evaluations** are identical at every thread count — an insert
+    /// evaluates each distinct node it reaches once, on whichever thread.
+    /// Worthwhile for expensive metrics or wide nets; small fan-outs stay
+    /// sequential regardless.
     pub fn with_build_threads(mut self, threads: usize) -> Self {
         self.build_threads = threads.max(1);
         self
@@ -406,16 +464,23 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// Finds the candidate parents for placing `item` at some level: the
     /// members of level `target_level + 1` (or above) within
     /// `ǫ'·2^{target_level + 1}` that a top-down descent discovers.
-    fn find_parent_candidates(&self, item: &T, target_level: i32) -> Vec<(usize, f64)> {
+    fn find_parent_candidates(
+        &self,
+        item: &T,
+        target_level: i32,
+        marks: &mut Marks,
+    ) -> Vec<(usize, f64)> {
         let root = match self.root {
             Some(r) => r,
             None => return Vec::new(),
         };
         let d_root = self.metric.dist(item, &self.items[root]);
+        marks.begin(self.nodes.len());
+        marks.set(root, Mark::Exact(d_root));
         let mut level = self.nodes[root].level;
         let mut cands = vec![(root, d_root)];
         while level > target_level + 1 {
-            let next = self.gather(item, level - 1, &cands);
+            let next = self.gather(item, level - 1, &cands, marks);
             if next.is_empty() {
                 break;
             }
@@ -433,82 +498,73 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// within `ǫ'·2^level` of `item`, discovered from the previous candidate
     /// set and its children.
     ///
-    /// When [`Self::with_build_threads`] enabled parallelism and the step has
-    /// enough pending children, their distances are evaluated concurrently
-    /// up front; the decision loop below then replays with the precomputed
-    /// values and produces the exact sequential result.
-    fn gather(&self, item: &T, level: i32, cands: &[(usize, f64)]) -> Vec<(usize, f64)> {
-        let radius = self.radius(level);
-        let precomputed = self.precompute_child_distances(item, level, cands);
-        let mut seen: Vec<usize> = Vec::new();
-        let mut next: Vec<(usize, f64)> = Vec::new();
-        for &(n, d) in cands {
-            if d <= radius && !seen.contains(&n) {
-                seen.push(n);
-                next.push((n, d));
-            }
-            for &c in &self.nodes[n].children {
-                if !self.nodes[c].alive || self.nodes[c].level < level || seen.contains(&c) {
-                    continue;
-                }
-                // Only children within `radius` are kept, so the kernel may
-                // abandon as soon as it knows the child is farther.
-                let within = precomputed
-                    .as_ref()
-                    .and_then(|p| {
-                        p.binary_search_by_key(&c, |&(id, _)| id)
-                            .ok()
-                            .map(|i| p[i].1)
-                    })
-                    .unwrap_or_else(|| self.metric.dist_within(item, &self.items[c], radius));
-                if let Some(dc) = within {
-                    seen.push(c);
-                    next.push((c, dc));
-                }
-            }
-        }
-        next
-    }
-
-    /// Evaluates the distances (thresholded at `ǫ'·2^level`, as [`gather`]
-    /// does) of all candidate children eligible at `level` on the build
-    /// worker pool, returning `None` when the fan-out is too small to pay
-    /// for thread spawns (or parallelism is disabled). The result is sorted
-    /// by node id for binary-search lookup.
-    ///
-    /// [`gather`]: ReferenceNet::gather
-    fn precompute_child_distances(
+    /// A node is evaluated at most once per descent: `marks` keeps the exact
+    /// distance of every node found within the radius it was asked at, and
+    /// the radius of every node found beyond it — radii only shrink on the
+    /// way down, so a child rejected under one parent, or one level up, is
+    /// rejected again without a call, and a candidate reached again as a
+    /// child of an earlier one is not re-evaluated. The children nothing is
+    /// known about are evaluated first, each once — concurrently when
+    /// [`Self::with_build_threads`] enabled parallelism and there are enough
+    /// of them — and the decision loop then replays over the marks alone, so
+    /// every thread count produces the same candidates with the same calls.
+    fn gather(
         &self,
         item: &T,
         level: i32,
         cands: &[(usize, f64)],
-    ) -> Option<Vec<(usize, Option<f64>)>> {
-        if self.build_threads <= 1 {
-            return None;
-        }
-        // Bitmap dedup: child lists overlap between parents, and a linear
-        // `contains` scan would be quadratic in exactly the wide fan-outs
-        // this path exists for.
-        let mut queued = vec![false; self.nodes.len()];
+        marks: &mut Marks,
+    ) -> Vec<(usize, f64)> {
+        let radius = self.radius(level);
+        let children = |n: usize| {
+            let eligible = move |&c: &usize| self.nodes[c].alive && self.nodes[c].level >= level;
+            self.nodes[n].children.iter().copied().filter(eligible)
+        };
         let mut pending: Vec<usize> = Vec::new();
         for &(n, _) in cands {
-            for &c in &self.nodes[n].children {
-                if self.nodes[c].alive && self.nodes[c].level >= level && !queued[c] {
-                    queued[c] = true;
+            for c in children(n) {
+                let unknown = match marks.get(c) {
+                    None => true,
+                    Some(Mark::Beyond(beyond)) => beyond < radius,
+                    Some(Mark::Exact(_) | Mark::Pending) => false,
+                };
+                if unknown {
+                    marks.set(c, Mark::Pending);
                     pending.push(c);
                 }
             }
         }
-        if pending.len() < PARALLEL_GATHER_THRESHOLD {
-            return None;
-        }
-        let radius = self.radius(level);
-        let mut distances = crate::par::fanout_map(self.build_threads, pending.len(), |i| {
-            let c = pending[i];
-            (c, self.metric.dist_within(item, &self.items[c], radius))
+        // Only children within `radius` are kept, so the kernel may abandon
+        // as soon as it knows a child is farther. Below the threshold the
+        // spawn overhead exceeds the distance work: stay on this thread.
+        let threads = if pending.len() < PARALLEL_GATHER_THRESHOLD {
+            1
+        } else {
+            self.build_threads
+        };
+        let within = crate::par::fanout_map(threads, pending.len(), |i| {
+            self.metric
+                .dist_within(item, &self.items[pending[i]], radius)
         });
-        distances.sort_unstable_by_key(|&(id, _)| id);
-        Some(distances)
+        for (&c, within) in pending.iter().zip(within) {
+            marks.set(c, within.map_or(Mark::Beyond(radius), Mark::Exact));
+        }
+
+        marks.next_step();
+        let mut next: Vec<(usize, f64)> = Vec::new();
+        for &(n, d) in cands {
+            if d <= radius && marks.list(n) {
+                next.push((n, d));
+            }
+            for c in children(n) {
+                if let Some(Mark::Exact(dc)) = marks.get(c) {
+                    if dc <= radius && marks.list(c) {
+                        next.push((c, dc));
+                    }
+                }
+            }
+        }
+        next
     }
 
     /// Attaches node `idx` (already levelled) to up to `nummax` of the given
@@ -576,11 +632,13 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
             .collect();
         // 2. Otherwise search the net for eligible references.
         if eligible.is_empty() {
+            let mut marks = std::mem::take(&mut self.marks);
             eligible = self
-                .find_parent_candidates(&self.items[orphan], level)
+                .find_parent_candidates(&self.items[orphan], level, &mut marks)
                 .into_iter()
                 .filter(|&(p, _)| p != orphan)
                 .collect();
+            self.marks = marks;
         }
         if !eligible.is_empty() {
             self.attach(orphan, eligible);
@@ -695,22 +753,24 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
             self.set_level(root, root_level);
         }
 
+        let mut marks = std::mem::take(&mut self.marks);
+        marks.begin(self.nodes.len());
+        marks.set(root, Mark::Exact(d_root));
         let mut level = root_level;
         let mut cands = vec![(root, d_root)];
-        loop {
-            let next = self.gather(&self.items[idx], level - 1, &cands);
-            if next.is_empty() {
-                let placement = level - 1;
-                self.place(idx, placement, &cands);
-                return ItemId(idx);
-            }
-            if level - 1 == 0 {
-                self.place(idx, 0, &cands);
-                return ItemId(idx);
+        // Descend while the level below has a member within its radius; the
+        // item is placed one level under the last candidates that had one.
+        let placement = loop {
+            let next = self.gather(&self.items[idx], level - 1, &cands, &mut marks);
+            if next.is_empty() || level - 1 == 0 {
+                break level - 1;
             }
             cands = next;
             level -= 1;
-        }
+        };
+        self.marks = marks;
+        self.place(idx, placement, &cands);
+        ItemId(idx)
     }
 
     fn len(&self) -> usize {
@@ -962,6 +1022,7 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
             root,
             live_count,
             build_threads: 1,
+            marks: Marks::default(),
         };
         net.recompute_bounds();
         Ok(net)
@@ -1056,6 +1117,58 @@ mod tests {
         assert!(stats.entries >= 499, "every non-root node has a parent");
         assert!(stats.levels >= 2);
         assert!(stats.avg_parents >= 1.0);
+    }
+
+    #[test]
+    fn an_insert_evaluates_each_node_once_at_any_thread_count() {
+        use std::sync::{Arc, Mutex};
+        type Word = [u8; 8];
+        // Random words sit far apart under the Hamming distance, so the
+        // root's list is wide enough (>= 64 pending children) for the
+        // parallel gather to engage.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut words: Vec<Word> = Vec::new();
+        while words.len() < 300 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let word = (state >> 8).to_le_bytes().map(|b| b % 6);
+            if !words.contains(&word) {
+                words.push(word);
+            }
+        }
+        let build = |threads: usize| {
+            let main = std::thread::current().id();
+            // Per metric call: the stored word it read, and whether it ran
+            // on a worker thread.
+            let calls = Arc::new(Mutex::new(Vec::<(Word, bool)>::new()));
+            let log = Arc::clone(&calls);
+            let metric = FnMetric(move |a: &Word, b: &Word| {
+                let off_main = std::thread::current().id() != main;
+                log.lock().unwrap().push((*b, off_main));
+                a.iter().zip(b).filter(|(x, y)| x != y).count() as f64
+            });
+            let mut net = ReferenceNet::new(metric).with_build_threads(threads);
+            let (mut total, mut off_main) = (0, false);
+            for word in &words {
+                net.insert(*word);
+                let mut evaluated = std::mem::take(&mut *calls.lock().unwrap());
+                total += evaluated.len();
+                off_main |= evaluated.iter().any(|call| call.1);
+                evaluated.sort_unstable();
+                let distinct = evaluated.windows(2).all(|w| w[0].0 != w[1].0);
+                assert!(distinct, "an insert evaluated a node twice");
+            }
+            let edges: Vec<_> = (net.nodes.iter())
+                .map(|n| (n.level, n.parents.clone(), n.children.clone()))
+                .collect();
+            (edges, net.by_level.clone(), total, off_main)
+        };
+        let (edges, levels, calls, off_main) = build(1);
+        assert!(!off_main && calls > 0);
+        let threaded = build(4);
+        assert!(threaded.3, "the parallel gather never engaged");
+        assert_eq!((edges, levels, calls), (threaded.0, threaded.1, threaded.2));
     }
 
     #[test]
