@@ -118,12 +118,6 @@ struct Options {
     /// be at least this factor smaller than the owned Vec-of-Vec layout the
     /// arena replaced (0 disables the gate; the ratio is always reported).
     min_bytes_reduction: f64,
-    /// Gate: telemetry wall-clock overhead — the fractional slowdown of a
-    /// sequential batch with recording enabled vs the same batch with the
-    /// `ssr_obs` kill switch thrown (0 disables the gate and the extra
-    /// passes). Both sides take the min of 5 runs; the stats must be
-    /// bit-identical either way.
-    max_obs_overhead: f64,
 }
 
 fn usage() -> ! {
@@ -131,7 +125,7 @@ fn usage() -> ! {
         "usage: bench [--scale smoke|small|medium] [--threads N] [--queries N] \
          [--out PATH] [--baseline PATH] [--min-speedup X] [--snapshot PATH] \
          [--min-cold-start-speedup X] [--no-pruning] [--min-dp-pruning-ratio X] \
-         [--min-bytes-reduction X] [--max-obs-overhead X]\n       \
+         [--min-bytes-reduction X]\n       \
          bench --serve ADDR --snapshot PATH [--connections N] [--batch N] [--rounds N] \
          [--max-p99-ms X] [--min-cache-hit-rate X] [--serve-shutdown] [--out PATH]\n       \
          bench --chaos [--chaos-seed N] [--out PATH]\n       \
@@ -155,7 +149,6 @@ fn parse_options() -> Options {
         no_pruning: false,
         min_dp_pruning_ratio: 0.0,
         min_bytes_reduction: 0.0,
-        max_obs_overhead: 0.0,
         serve: None,
         connections: 4,
         batch: 4,
@@ -208,9 +201,6 @@ fn parse_options() -> Options {
             }
             "--min-bytes-reduction" => {
                 opts.min_bytes_reduction = value(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--max-obs-overhead" => {
-                opts.max_obs_overhead = value(&mut i).parse().unwrap_or_else(|_| usage());
             }
             "--serve" => opts.serve = Some(value(&mut i)),
             "--connections" => {
@@ -446,79 +436,6 @@ fn main() {
             ablation_failures += 1;
         }
         (full_cells, ratio)
-    });
-
-    // Telemetry-overhead measurement: the identical sequential batch with
-    // the ssr-obs kill switch thrown vs recording enabled. One sample is the
-    // batch repeated until two seconds have passed, read as time per batch —
-    // host jitter is a fixed few milliseconds, so a sample must be long for
-    // 5 % of it to stand above that — and min-of-5 on both sides absorbs
-    // scheduler noise; the outcomes (results AND stats) must be
-    // bit-identical either way — telemetry is observation only.
-    const OBS_SAMPLE: Duration = Duration::from_secs(2);
-    let mut obs_failures = 0usize;
-    let obs_overhead = (opts.max_obs_overhead > 0.0).then(|| {
-        let timed_run = || {
-            let started = Instant::now();
-            let mut batches = 0u64;
-            loop {
-                let batch = QueryEngine::new(&db).batch_type2(&queries, epsilon);
-                batches += 1;
-                if started.elapsed() >= OBS_SAMPLE {
-                    return (started.elapsed().as_nanos() as u64 / batches, batch);
-                }
-            }
-        };
-        // The two sides take turns, and swap who goes first every round, so
-        // a machine that slows down over these twenty seconds slows both.
-        let mut best_ns = [u64::MAX; 2];
-        let mut last = [None, None];
-        for round in 0..5 {
-            for turn in 0..2 {
-                let enabled = (round + turn) % 2 == 1;
-                ssr_obs::set_enabled(enabled);
-                let (ns, batch) = timed_run();
-                let side = usize::from(enabled);
-                best_ns[side] = best_ns[side].min(ns);
-                last[side] = Some(batch);
-            }
-        }
-        let [disabled_ns, enabled_ns] = best_ns;
-        let [disabled_batch, enabled_batch] = last.map(|b| b.expect("five runs a side happened"));
-        // Leave telemetry on for the rest of the run, whatever happens.
-        ssr_obs::set_enabled(true);
-        if disabled_batch.outcomes != enabled_batch.outcomes
-            || disabled_batch.outcomes != sequential.outcomes
-        {
-            eprintln!("FAIL telemetry toggling changed batch outcomes or stats");
-            obs_failures += 1;
-        }
-        let overhead = enabled_ns as f64 / disabled_ns.max(1) as f64 - 1.0;
-        eprintln!(
-            "# telemetry overhead: enabled {:.1} ms vs disabled {:.1} ms per batch — {:+.2}% \
-             (gate {:.2}%)",
-            enabled_ns as f64 / 1e6,
-            disabled_ns as f64 / 1e6,
-            overhead * 100.0,
-            opts.max_obs_overhead * 100.0
-        );
-        if overhead > opts.max_obs_overhead {
-            eprintln!(
-                "FAIL telemetry overhead {:.2}% exceeds the {:.2}% gate",
-                overhead * 100.0,
-                opts.max_obs_overhead * 100.0
-            );
-            obs_failures += 1;
-        }
-        JsonValue::object(vec![
-            ("disabled_wall_ns", JsonValue::Number(disabled_ns as f64)),
-            ("enabled_wall_ns", JsonValue::Number(enabled_ns as f64)),
-            (
-                "overhead_fraction",
-                JsonValue::Number((overhead * 10_000.0).round() / 10_000.0),
-            ),
-            ("gate", JsonValue::Number(opts.max_obs_overhead)),
-        ])
     });
 
     // Cold-start measurement: save → load → query parity → speedup gate.
@@ -758,13 +675,6 @@ fn main() {
         }
         (report, _) => report,
     };
-    let report = match (report, obs_overhead) {
-        (JsonValue::Object(mut members), Some(obs)) => {
-            members.push(("obs_overhead".to_string(), obs));
-            JsonValue::Object(members)
-        }
-        (report, _) => report,
-    };
 
     let out_path = opts
         .out
@@ -776,8 +686,7 @@ fn main() {
     });
     eprintln!("# wrote {out_path}");
 
-    let mut failures =
-        parity_failures + snapshot_failures + ablation_failures + bytes_failures + obs_failures;
+    let mut failures = parity_failures + snapshot_failures + ablation_failures + bytes_failures;
     if let Some(baseline_path) = &opts.baseline {
         failures += check_baseline(baseline_path, &report);
     }
@@ -905,7 +814,7 @@ fn serve_mode(opts: &Options) {
     eprintln!(
         "# serve mode: addr={addr} snapshot={snapshot_path} ({} sequences, {} windows, \
          {replayed} WAL ops), {} connections x {} rounds, batch {}",
-        db.dataset().len(),
+        db.sequence_count(),
         db.window_count(),
         opts.connections,
         opts.rounds,
@@ -922,7 +831,8 @@ fn serve_mode(opts: &Options) {
             epsilon_increment: 2.0,
         },
     ];
-    let sequences = db.dataset().sequences();
+    let dataset = db.to_dataset();
+    let sequences = dataset.sequences();
     let requests: Vec<ssr_core::Request<Symbol>> = specs
         .iter()
         .enumerate()

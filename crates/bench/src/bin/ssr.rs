@@ -252,7 +252,7 @@ where
          ({} build distance calls)",
         opts.dataset,
         db.window_count(),
-        db.dataset().len(),
+        db.sequence_count(),
         distance_name,
         opts.backend,
         db.build_distance_calls()
@@ -1276,7 +1276,7 @@ where
         perturbation_rate: 0.05,
         seed,
     };
-    let planted = plant_query(db.dataset(), &mutator, &config)
+    let planted = plant_query(&db.to_dataset(), &mutator, &config)
         .unwrap_or_else(|| fail("database too small to plant a query; use more windows"));
     eprintln!(
         "# planted query from {} range {:?}",

@@ -24,7 +24,7 @@ use ssr_core::wire::{QuerySpec, Request, Response, WireError};
 use ssr_core::{ClientConfig, LiveDatabase, SubsequenceDatabase, WireClient};
 use ssr_datagen::{generate_proteins, ProteinConfig};
 use ssr_distance::Levenshtein;
-use ssr_sequence::{Sequence, Symbol};
+use ssr_sequence::{Sequence, SequenceId, Symbol};
 
 use crate::json::JsonValue;
 
@@ -222,7 +222,9 @@ fn compact_window_schedule(seed: u64) -> ChaosOutcome {
 }
 
 fn probe_request(db: &SubsequenceDatabase<Symbol, Levenshtein>) -> Request<Symbol> {
-    let seq = &db.dataset().sequences()[0];
+    let seq = db
+        .sequence(SequenceId(0))
+        .expect("the fixture stores a sequence");
     let len = seq.len().clamp(1, 24);
     Request::Query {
         spec: QuerySpec::Type1 { epsilon: 4.0 },

@@ -145,7 +145,8 @@ fn request_shapes(db: &SubsequenceDatabase<Symbol, Levenshtein>) -> Vec<Request<
             epsilon_increment: 2.0,
         },
     ];
-    let sequences = db.dataset().sequences();
+    let dataset = db.to_dataset();
+    let sequences = dataset.sequences();
     specs
         .iter()
         .enumerate()

@@ -9,8 +9,8 @@ use ssr_index::{
     ReferenceNet, ReferenceNetConfig, SpaceStats, WindowSliceMetric,
 };
 use ssr_sequence::{
-    Element, ElementArena, SegmentFamily, Sequence, SequenceDataset, SequenceId, Window, WindowId,
-    WindowStore,
+    Element, ElementArena, SegmentFamily, Sequence, SequenceDataset, SequenceId, SequenceView,
+    Window, WindowId, WindowStore,
 };
 
 use crate::candidates::SegmentMatch;
@@ -129,34 +129,41 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> WindowIndex<E, D> {
         }
     }
 
-    /// Incremental maintenance after an arena append: swaps the grown window
-    /// store into the metric (existing [`WindowId`]s keep resolving to the
-    /// same elements — the store is a prefix-stable re-partition) and inserts
-    /// the new tail ids. The Reference Net and cover tree insert in place
-    /// through the same `insert` loop their bulk `extend` uses, so the
-    /// resulting structure is bit-identical to a from-scratch build over the
-    /// grown id range; the MV index re-pivots lazily inside `extend`, which
-    /// rebuilds its pivot table as a pure function of the final item set.
-    fn append_windows(&mut self, windows: Arc<WindowStore<E>>, new_ids: std::ops::Range<usize>) {
-        let ids = new_ids.map(WindowId);
+    /// The window store: the metric's handle, the only one a database has.
+    fn windows(&self) -> &WindowStore<E> {
         match self {
-            WindowIndex::ReferenceNet(idx) => {
-                idx.metric_mut().inner_mut().set_windows(windows);
-                idx.extend(ids);
-            }
-            WindowIndex::CoverTree(idx) => {
-                idx.metric_mut().inner_mut().set_windows(windows);
-                idx.extend(ids);
-            }
-            WindowIndex::MvReference(idx) => {
-                idx.metric_mut().inner_mut().set_windows(windows);
-                idx.extend(ids);
-                debug_assert!(!idx.is_dirty(), "extend leaves the MV index rebuilt");
-            }
-            WindowIndex::LinearScan(idx) => {
-                idx.metric_mut().inner_mut().set_windows(windows);
-                idx.extend(ids);
-            }
+            WindowIndex::ReferenceNet(idx) => idx.metric().inner().windows(),
+            WindowIndex::CoverTree(idx) => idx.metric().inner().windows(),
+            WindowIndex::MvReference(idx) => idx.metric().inner().windows(),
+            WindowIndex::LinearScan(idx) => idx.metric().inner().windows(),
+        }
+    }
+
+    /// Appends one sequence: pushes it onto the store behind the metric
+    /// ([`WindowSliceMetric::windows_mut`] — in place, or on a private copy
+    /// while a replica shares the store) and inserts its windows' ids. The
+    /// Reference Net, the cover tree and the scan insert through the same
+    /// loop their bulk `extend` uses, at the cost of the new windows alone;
+    /// the MV index **rebuilds its whole pivot table** in `extend` — that is
+    /// the structure's algorithm (pivots are chosen over the final item
+    /// set), not incremental maintenance. Either way the result is
+    /// bit-identical to a from-scratch build over the grown id range.
+    fn push_sequence(&mut self, elements: &[E], label: Option<String>) -> SequenceId {
+        macro_rules! push {
+            ($idx:expr) => {{
+                let store = $idx.metric_mut().inner_mut().windows_mut();
+                let old_len = store.len();
+                let id = store.push_sequence(elements, label);
+                let new_len = store.len();
+                $idx.extend((old_len..new_len).map(WindowId));
+                id
+            }};
+        }
+        match self {
+            WindowIndex::ReferenceNet(idx) => push!(idx),
+            WindowIndex::CoverTree(idx) => push!(idx),
+            WindowIndex::MvReference(idx) => push!(idx),
+            WindowIndex::LinearScan(idx) => push!(idx),
         }
     }
 }
@@ -237,7 +244,7 @@ impl SegmentScan {
 pub struct DatabaseBuilder<E: Element, D: SequenceDistance<E>> {
     config: FrameworkConfig,
     distance: Arc<D>,
-    dataset: SequenceDataset<E>,
+    arena: ElementArena<E>,
     build_threads: usize,
 }
 
@@ -247,7 +254,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> DatabaseBuilder<E, D> {
         DatabaseBuilder {
             config,
             distance: Arc::new(distance),
-            dataset: SequenceDataset::new(),
+            arena: ElementArena::default(),
             build_threads: 1,
         }
     }
@@ -265,46 +272,55 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> DatabaseBuilder<E, D> {
         self
     }
 
-    /// Adds one sequence to the database.
+    /// Adds one sequence to the database: its elements are copied to the
+    /// tail of the builder's [`ElementArena`], the copy the built database
+    /// keeps.
     pub fn add_sequence(mut self, sequence: Sequence<E>) -> Self {
-        self.dataset.push(sequence);
+        self.push(&sequence);
         self
     }
 
     /// Adds every sequence of a dataset to the database.
     pub fn add_dataset(mut self, dataset: &SequenceDataset<E>) -> Self {
         for (_, s) in dataset.iter() {
-            self.dataset.push(s.clone());
+            self.push(s);
         }
         self
     }
 
-    /// Validates the configuration, gathers every dataset element into one
-    /// flat [`ElementArena`], derives the `λ/2` window views over it and
-    /// builds the chosen metric index over their ids.
+    fn push(&mut self, sequence: &Sequence<E>) {
+        self.arena
+            .push_sequence(sequence.elements(), sequence.label().map(str::to_string));
+    }
+
+    /// Validates the configuration, derives the `λ/2` window views over the
+    /// gathered [`ElementArena`] and builds the chosen metric index over
+    /// their ids.
     pub fn build(self) -> Result<SubsequenceDatabase<E, D>, FrameworkError> {
         self.config.validate()?;
         self.config
             .validate_distance::<E, _>(self.distance.as_ref())?;
-        // Step 1: one contiguous copy of all elements; the window views are
-        // derived from the arena's sequence boundaries without touching a
-        // single element, so there is nothing left to parallelise here.
-        let arena = Arc::new(ElementArena::from_dataset(&self.dataset));
-        let windows = Arc::new(WindowStore::partition(arena, self.config.window_len()));
+        // Step 1: the window views are derived from the arena's sequence
+        // boundaries without touching a single element, so there is nothing
+        // to parallelise here.
+        let windows = Arc::new(WindowStore::partition(self.arena, self.config.window_len()));
         if windows.is_empty() {
             return Err(FrameworkError::EmptyDatabase);
         }
         let counter = CallCounter::new();
         let cell_counter = ssr_distance::CellCounter::new();
+        let gap_prefixes = build_gap_prefixes(self.distance.as_ref(), windows.arena());
+        let tombstones = vec![false; windows.arena().sequence_count()];
+        let window_ids = (0..windows.len()).map(WindowId);
+        // The metric takes the store: the database reads it back through
+        // its index, so an unshared database holds exactly one handle.
         let metric = CountingMetric::new(
-            WindowSliceMetric::new(Arc::clone(&self.distance), Arc::clone(&windows)),
+            WindowSliceMetric::new(Arc::clone(&self.distance), windows),
             counter.clone(),
         )
         .with_cell_counter(cell_counter.clone());
-        // Step 2: the index stores one WindowId per window — the old
-        // per-window `Vec<E>` clone is gone; every build-time distance
-        // resolves both ids to arena slices through the metric.
-        let window_ids = (0..windows.len()).map(WindowId);
+        // Step 2: the index stores one WindowId per window; every build-time
+        // distance resolves both ids to arena slices through the metric.
         let index = match self.config.backend {
             IndexBackend::ReferenceNet => {
                 let mut rn_config =
@@ -338,8 +354,6 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> DatabaseBuilder<E, D> {
         // that subsequent reads reflect query-time work only.
         let build_distance_calls = counter.reset();
         let build_dp_cells = cell_counter.reset();
-        let gap_prefixes = build_gap_prefixes(self.distance.as_ref(), windows.arena());
-        let tombstones = vec![false; self.dataset.len()];
         let probe_depth = probe_depth_histogram(index.backend_name());
         Ok(SubsequenceDatabase {
             probe_depth,
@@ -352,8 +366,6 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> DatabaseBuilder<E, D> {
             tombstones,
             config: self.config,
             distance: self.distance,
-            dataset: Arc::new(self.dataset),
-            windows,
         })
     }
 }
@@ -365,11 +377,11 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> DatabaseBuilder<E, D> {
 pub(crate) fn build_gap_prefixes<E: Element, D: SequenceDistance<E>>(
     distance: &D,
     arena: &ElementArena<E>,
-) -> Option<Vec<GapPrefix>> {
+) -> Option<Arc<Vec<GapPrefix>>> {
     if !distance.uses_gap_sums() {
         return None;
     }
-    Some(
+    Some(Arc::new(
         (0..arena.sequence_count())
             .map(|i| {
                 GapPrefix::build(
@@ -379,31 +391,31 @@ pub(crate) fn build_gap_prefixes<E: Element, D: SequenceDistance<E>>(
                 )
             })
             .collect(),
-    )
+    ))
 }
 
 /// A database of sequences prepared for subsequence retrieval: the sequences,
 /// their fixed-length windows and a metric index over the windows.
+///
+/// The element arena behind the index metric's [`WindowStore`] is the single
+/// resident copy of every sequence: [`Self::sequence`] and [`Self::windows`]
+/// hand out views of it, and the database itself keeps no second handle on
+/// the store (see [`WindowSliceMetric`]).
 ///
 /// Fields are crate-visible so that [`crate::storage`] can snapshot a built
 /// database and reassemble a loaded one without exposing setters.
 pub struct SubsequenceDatabase<E: Element, D: SequenceDistance<E>> {
     pub(crate) config: FrameworkConfig,
     pub(crate) distance: Arc<D>,
-    /// Shared with replica engines ([`Self::clone_replica`]): the labelled
-    /// per-sequence view of the same elements the arena owns.
-    pub(crate) dataset: Arc<SequenceDataset<E>>,
-    /// Shared with the index metric: the store (and its arena) is the single
-    /// resident copy of every window's elements.
-    pub(crate) windows: Arc<WindowStore<E>>,
     pub(crate) index: WindowIndex<E, D>,
     pub(crate) counter: CallCounter,
     pub(crate) cell_counter: ssr_distance::CellCounter,
     pub(crate) build_distance_calls: u64,
     pub(crate) build_dp_cells: u64,
     /// Per-sequence gap prefix tables for the verification lower-bound
-    /// cascade; `None` when the distance cannot prune on gap sums.
-    pub(crate) gap_prefixes: Option<Vec<GapPrefix>>,
+    /// cascade; `None` when the distance cannot prune on gap sums. Shared
+    /// with replicas, copy-on-write on append like the store.
+    pub(crate) gap_prefixes: Option<Arc<Vec<GapPrefix>>>,
     /// One flag per stored sequence: `true` marks a removed sequence.
     /// Removal never unwinds the arena, the window views or the index items
     /// — those stay physically present so outstanding [`WindowId`]s keep
@@ -445,14 +457,22 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         &self.distance
     }
 
-    /// The stored sequences.
-    pub fn dataset(&self) -> &SequenceDataset<E> {
-        &self.dataset
+    /// An owned copy of every stored sequence (tombstoned ones included, so
+    /// ids line up), for callers that need a [`SequenceDataset`] — a
+    /// brute-force oracle, query planting. The database keeps none.
+    pub fn to_dataset(&self) -> SequenceDataset<E> {
+        self.windows().arena().to_dataset()
     }
 
-    /// The window store (provenance of every indexed window).
+    /// Number of stored sequences, tombstoned ones included.
+    pub fn sequence_count(&self) -> usize {
+        self.tombstones.len()
+    }
+
+    /// The window store (provenance of every indexed window) and, through
+    /// [`WindowStore::arena`], the one resident copy of every element.
     pub fn windows(&self) -> &WindowStore<E> {
-        &self.windows
+        self.index.windows()
     }
 
     /// Number of indexed windows.
@@ -468,7 +488,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// machine (the bench gates them in CI).
     pub fn index_space_stats(&self) -> SpaceStats {
         let mut stats = self.index.space_stats();
-        stats.arena_bytes = self.windows.arena().resident_bytes();
+        stats.arena_bytes = self.windows().arena().resident_bytes();
         stats
     }
 
@@ -479,7 +499,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// from here, so the gated and the printed figure cannot diverge.
     pub fn resident_window_bytes(&self) -> usize {
         let stats = self.index_space_stats();
-        stats.arena_bytes + stats.item_bytes + self.windows.view_bytes()
+        stats.arena_bytes + stats.item_bytes + self.windows().view_bytes()
     }
 
     /// Number of distance evaluations spent building the index.
@@ -504,16 +524,18 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         &self.cell_counter
     }
 
-    /// A read-only replica for concurrent serving: shares the element arena,
-    /// window store, dataset, distance and gap-prefix tables with `self`
-    /// (cheap `Arc` clones — the elements are never copied), duplicates only
-    /// the index's machine-word item handles and navigation structure, and
-    /// gives the replica private query counters so concurrent queries never
-    /// contend on — or cross-attribute to — another replica's atomics.
+    /// A read-only replica for concurrent serving: shares the window store
+    /// (element arena, labels, view table), the distance and the gap-prefix
+    /// tables with `self` (`Arc` clones — no element and no table is
+    /// copied), duplicates only the index's machine-word item handles and
+    /// navigation structure, and gives the replica private query counters so
+    /// concurrent queries never contend on — or cross-attribute to — another
+    /// replica's atomics.
     ///
-    /// Replicas answer queries bit-identically to the original. Mutating a
-    /// replica (or the original) via [`Self::append_sequence`] is safe but
-    /// forfeits sharing for the mutated layers (`Arc::make_mut` copies).
+    /// Replicas answer queries bit-identically to the original. Appending to
+    /// either side while the other is alive is safe: the appending side
+    /// copies the shared layers once ([`Self::append_sequence`]) and the
+    /// other keeps reading what it had.
     pub fn clone_replica(&self) -> Self {
         let counter = CallCounter::new();
         let cell_counter = ssr_distance::CellCounter::new();
@@ -522,8 +544,6 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         SubsequenceDatabase {
             config: self.config.clone(),
             distance: Arc::clone(&self.distance),
-            dataset: Arc::clone(&self.dataset),
-            windows: Arc::clone(&self.windows),
             index,
             counter,
             cell_counter,
@@ -535,42 +555,32 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         }
     }
 
-    /// Appends one sequence to the database, maintaining every layer
-    /// incrementally: the element arena grows (existing element ranges are
-    /// untouched, so every outstanding window view keeps resolving to the
-    /// same elements), the window store is re-partitioned (a prefix-stable
-    /// operation — ids `0..old_len` are unchanged), and the new tail windows
-    /// are inserted into the index in id order. Because the bulk build is
-    /// itself an in-order insert loop (Reference Net, cover tree, linear
-    /// scan) or a pure function of the final item set (MV pivot table), a
-    /// database grown by appends answers queries bit-identically to one
-    /// built from scratch over the same sequences.
+    /// Appends one sequence to the database: its elements and window views
+    /// go to the tail of the store (existing ranges and ids are untouched,
+    /// so every outstanding window view keeps resolving to the same
+    /// elements) and the new windows are inserted into the index in id
+    /// order. Because the bulk build is itself an in-order insert loop
+    /// (Reference Net, cover tree, linear scan) or a pure function of the
+    /// final item set (MV pivot table, rebuilt whole), a database grown by
+    /// appends answers queries bit-identically to one built from scratch
+    /// over the same sequences.
+    ///
+    /// **Copy-on-write rule.** The store and the gap-prefix tables sit
+    /// behind `Arc`s and are grown through `Arc::make_mut`: in place — the
+    /// cost of the new sequence, whatever the database holds — when this
+    /// database is their only owner, and on a private copy made once when a
+    /// [`Self::clone_replica`] still reads them (the replica keeps its
+    /// bounds, window count and answers; the next append is in place again).
     ///
     /// The incremental index work is folded into
     /// [`Self::build_distance_calls`] / [`Self::build_dp_cells`] so the
     /// query-time counters keep reading zero outside of queries.
     pub fn append_sequence(&mut self, sequence: Sequence<E>) -> SequenceId {
-        let old_window_count = self.windows.len();
-        // O(n) arena copy per append: correctness-first — the store's
-        // outstanding `Arc` clones (index metric, in-flight snapshots) must
-        // keep observing the pre-append bounds, so we never mutate shared
-        // state in place.
-        let mut arena = ElementArena::clone(self.windows.arena());
-        let arena_id = arena.push_sequence(sequence.elements());
-        let windows = Arc::new(WindowStore::partition(
-            Arc::new(arena),
-            self.config.window_len(),
-        ));
-        self.index
-            .append_windows(Arc::clone(&windows), old_window_count..windows.len());
-        self.windows = windows;
         if let Some(prefixes) = &mut self.gap_prefixes {
-            prefixes.push(GapPrefix::build(sequence.elements()));
+            Arc::make_mut(prefixes).push(GapPrefix::build(sequence.elements()));
         }
-        // `make_mut` copies only when replicas hold the dataset — a mutable
-        // database is normally its sole owner and mutates in place.
-        let id = Arc::make_mut(&mut self.dataset).push(sequence);
-        debug_assert_eq!(id, arena_id, "dataset and arena assign ids in lockstep");
+        let label = sequence.label().map(str::to_string);
+        let id = self.index.push_sequence(sequence.elements(), label);
         self.tombstones.push(false);
         self.build_distance_calls += self.counter.reset();
         self.build_dp_cells += self.cell_counter.reset();
@@ -649,6 +659,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             .then(|| GapPrefix::build(query.elements()));
         let mut scratch = FamilyScratch::default();
         let mut per_lane = vec![Vec::new(); spec.length_count()];
+        let windows = self.windows();
         let segment_ns = segment_started.elapsed().as_nanos() as u64;
         ctx.timings.segment_ns += segment_ns;
         ctx.span("segment", segment_ns);
@@ -661,14 +672,16 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             self.index.family_query(
                 family.lanes(),
                 epsilon,
-                |item, tau, out| self.probe_family(&family, query_gap.as_ref(), item, tau, out),
+                |item, tau, out| {
+                    self.probe_family(windows, &family, query_gap.as_ref(), item, tau, out)
+                },
                 &mut scratch,
             );
             self.probe_depth
                 .observe(CallCounter::thread_total() - probe_before);
             for &(lane, id) in scratch.hits() {
                 let window_id = WindowId(id.0);
-                let window = self.window(window_id);
+                let window = stored_window(windows, window_id);
                 // Tombstone filter: windows of removed sequences stay in the
                 // index (the probe above may still have spent distance calls
                 // on them — inherent to tombstoning), but their matches are
@@ -678,7 +691,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                     continue;
                 }
                 let segment = family.segment(lane);
-                let window_slice = self.window_slice(&window);
+                let window_slice = window_slice(windows, &window);
                 // The index certified d ≤ ε, so the thresholded recompute
                 // always completes; the fallback covers the one legitimate
                 // exception — bulk-accepted items whose triangle-inequality
@@ -690,7 +703,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                 per_lane[lane].push(SegmentMatch {
                     window: window_id,
                     sequence: window.sequence,
-                    window_index: window.window_index(self.windows.window_len()),
+                    window_index: window.window_index(windows.window_len()),
                     db_start: window.start,
                     query_start: family.start,
                     query_len: segment.len(),
@@ -716,18 +729,6 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         }
     }
 
-    fn window(&self, id: WindowId) -> Window {
-        self.windows
-            .get(id)
-            .expect("index ids correspond to window ids")
-    }
-
-    fn window_slice(&self, window: &Window) -> &[E] {
-        self.windows
-            .resolve(window)
-            .expect("window views resolve against their own arena")
-    }
-
     /// One visit of a family range query: the distance from each segment of
     /// `family` to the window `item` — exact when `≤ tau`, `∞` otherwise —
     /// into that lane's slot of `out`, all from one end table over the
@@ -739,14 +740,15 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// lower-bound prune.
     fn probe_family(
         &self,
+        windows: &WindowStore<E>,
         family: &SegmentFamily<'_, E>,
         query_gap: Option<&GapPrefix>,
         item: WindowId,
         tau: f64,
         out: &mut [f64],
     ) {
-        let window = self.window(item);
-        let b = self.window_slice(&window);
+        let window = stored_window(windows, item);
+        let b = window_slice(windows, &window);
         if ssr_distance::pruning_enabled() {
             let window_sum = self
                 .gap_prefixes
@@ -794,14 +796,25 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
         )
     }
 
-    /// Looks up a stored sequence. Tombstoned sequences are gone from this
-    /// view: the id resolves to `None` exactly as an unknown id does.
-    pub fn sequence(&self, id: SequenceId) -> Option<&Sequence<E>> {
+    /// Looks up a stored sequence: a view of its elements in the arena and
+    /// its label. Tombstoned sequences are gone from this view: the id
+    /// resolves to `None` exactly as an unknown id does.
+    pub fn sequence(&self, id: SequenceId) -> Option<SequenceView<'_, E>> {
         if !self.is_live(id) {
             return None;
         }
-        self.dataset.get(id)
+        self.windows().arena().sequence(id)
     }
+}
+
+fn stored_window<E: Element>(windows: &WindowStore<E>, id: WindowId) -> Window {
+    windows.get(id).expect("index ids correspond to window ids")
+}
+
+fn window_slice<'a, E: Element>(windows: &'a WindowStore<E>, window: &Window) -> &'a [E] {
+    windows
+        .resolve(window)
+        .expect("window views resolve against their own arena")
 }
 
 #[cfg(test)]

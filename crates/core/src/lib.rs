@@ -54,5 +54,4 @@ pub use serve::{Client, ServeConfig, Server};
 pub use storage::SnapshotManifest;
 pub use wire::{
     QuerySpec, Request, Response, ServerStatsSnapshot, WireError, WireOutcome, WIRE_VERSION,
-    WIRE_VERSION_MIN,
 };

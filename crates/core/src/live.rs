@@ -536,7 +536,7 @@ mod tests {
         // The stale log's append is already in the snapshot; replaying it
         // would duplicate the sequence. The binding check discards it.
         assert_eq!(live.pending_ops(), 0);
-        assert_eq!(live.database().dataset().len(), 2);
+        assert_eq!(live.database().sequence_count(), 2);
         cleanup(&path);
     }
 
@@ -547,7 +547,7 @@ mod tests {
         base_db().save_snapshot(&path).unwrap();
         let live = LiveDatabase::<Symbol, _>::open(&path, Levenshtein::new()).unwrap();
         assert_eq!(live.pending_ops(), 0);
-        assert_eq!(live.database().dataset().len(), 1);
+        assert_eq!(live.database().sequence_count(), 1);
         cleanup(&path);
     }
 }

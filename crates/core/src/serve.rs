@@ -21,11 +21,12 @@
 //!   wrong result. Eviction is coarse (a full shard clears) and bounded by
 //!   `cache_shards × cache_shard_capacity`.
 //! * **Replicas** — each worker queries a [`SubsequenceDatabase::clone_replica`]
-//!   chosen by `worker_id % replicas`. Replicas share the element arena, the
-//!   window store, the dataset and the gap-prefix tables (the bytes that
-//!   dominate residency) and duplicate only the index navigation structure
-//!   plus private query counters, so workers never contend on the shared
-//!   counter atomics.
+//!   chosen by `worker_id % replicas`. Replicas share the window store —
+//!   the element arena with its labels and the view table — and the
+//!   gap-prefix tables, each behind one `Arc` (the bytes that dominate
+//!   residency), and duplicate only the index navigation structure plus
+//!   private query counters, so workers never contend on the shared counter
+//!   atomics.
 //!
 //! Every query is executed by the same [`QueryEngine`] the in-process API
 //! uses, one batch per request, so served results are **bit-identical** to
@@ -281,7 +282,7 @@ where
     fn stats_snapshot(&self) -> ServerStatsSnapshot {
         let db = &self.replicas[0];
         ServerStatsSnapshot {
-            sequences: db.dataset().len(),
+            sequences: db.sequence_count(),
             windows: db.window_count(),
             arena_bytes: db.windows().arena().resident_bytes(),
             workers: self.workers,
@@ -633,15 +634,13 @@ where
                 let error = Response::Error(WireError::Malformed(
                     "read timed out mid-frame; closing connection".into(),
                 ));
-                let _ = respond(&mut stream, &error, crate::wire::WIRE_VERSION_MIN);
+                let _ = respond(&mut stream, &error);
                 return;
             }
             Err(StorageError::Io(_)) => return,
             Err(err) => {
                 let error = Response::Error(WireError::from_storage(&err));
-                // An undecodable frame carries no version; answer at the
-                // floor so any peer can decode the error.
-                let _ = respond(&mut stream, &error, crate::wire::WIRE_VERSION_MIN);
+                let _ = respond(&mut stream, &error);
                 return;
             }
         };
@@ -653,13 +652,11 @@ where
                 return;
             }
         }
-        // Answers echo the request's wire version, so a v1 peer gets v1
-        // response bodies back and never sees fields it cannot decode.
-        let (version, request) = match Request::<E>::decode_payload_versioned(&payload) {
+        let request = match Request::<E>::decode_payload(&payload) {
             Ok(decoded) => decoded,
             Err(err) => {
                 let error = Response::Error(WireError::from_storage(&err));
-                if respond(&mut stream, &error, crate::wire::WIRE_VERSION_MIN).is_err() {
+                if respond(&mut stream, &error).is_err() {
                     return;
                 }
                 continue;
@@ -673,7 +670,7 @@ where
                 // Shutdown over the wire is a *drain*: ack, stop admitting,
                 // let in-flight work finish; the last worker to run dry
                 // completes the shutdown.
-                let _ = respond(&mut stream, &Response::ShuttingDown, version);
+                let _ = respond(&mut stream, &Response::ShuttingDown);
                 shared.begin_drain();
                 return;
             }
@@ -694,7 +691,7 @@ where
                 }
             },
         };
-        if respond(&mut stream, &response, version).is_err() {
+        if respond(&mut stream, &response).is_err() {
             return;
         }
     }
@@ -727,7 +724,7 @@ fn check_spec(spec: &QuerySpec) -> Result<(), WireError> {
     }
 }
 
-fn respond(stream: &mut TcpStream, response: &Response, version: u8) -> Result<(), StorageError> {
+fn respond(stream: &mut TcpStream, response: &Response) -> Result<(), StorageError> {
     // Chaos hook: a fired `serve.frame_write` fails the response write, as
     // a peer resetting the connection mid-reply would.
     if ssr_fault::evaluate("serve.frame_write").is_some() {
@@ -735,7 +732,7 @@ fn respond(stream: &mut TcpStream, response: &Response, version: u8) -> Result<(
             "serve.frame_write",
         )));
     }
-    write_frame(stream, &response.encode_payload_versioned(version))?;
+    write_frame(stream, &response.encode_payload())?;
     stream.flush().map_err(StorageError::Io)
 }
 

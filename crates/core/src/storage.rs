@@ -22,10 +22,10 @@
 //! contiguous element store, sequences borrow ranges of it and windows are
 //! `(sequence, start, len)` views derived from the arena's boundaries and
 //! the configured window length — no per-window data exists on disk at all,
-//! and loading performs **one** element-buffer allocation (plus per-sequence
-//! label bookkeeping), never a per-window one. Earlier format versions,
-//! which stored every window's elements twice (window store + index items),
-//! are rejected with [`StorageError::UnsupportedVersion`].
+//! and loading performs **one** element-buffer allocation (plus a string per
+//! labelled sequence), never a per-window or per-sequence one. Earlier format
+//! versions, which stored every window's elements twice (window store + index
+//! items), are rejected with [`StorageError::UnsupportedVersion`].
 //!
 //! The `manifest` section is decodable without knowing the element type, so
 //! tooling (the `ssr` CLI) can inspect any snapshot and dispatch to the right
@@ -43,7 +43,7 @@ use ssr_distance::{CallCounter, SequenceDistance};
 use ssr_index::{
     CountingMetric, CoverTree, LinearScan, MvReferenceIndex, ReferenceNet, WindowSliceMetric,
 };
-use ssr_sequence::{Element, ElementArena, Sequence, SequenceDataset, SequenceId, WindowStore};
+use ssr_sequence::{Element, ElementArena, SequenceId, WindowStore};
 use ssr_storage::{
     Decode, DecodeWith, Encode, Reader, Snapshot, SnapshotBuilder, StorableElement, StorageError,
     Writer,
@@ -197,23 +197,26 @@ where
     }
 
     fn snapshot_builder(&self) -> SnapshotBuilder {
+        let windows = self.windows();
+        let arena = windows.arena();
         let manifest = SnapshotManifest {
             element: E::TAG.to_string(),
             distance: self.distance.name().to_string(),
             config: self.config.clone(),
-            sequences: self.dataset.len(),
-            windows: self.windows.len(),
+            sequences: arena.sequence_count(),
+            windows: windows.len(),
             build_distance_calls: self.build_distance_calls,
             build_dp_cells: self.build_dp_cells,
         };
         let mut builder = SnapshotBuilder::new();
         builder.section(SECTION_MANIFEST, |w| manifest.encode(w));
-        builder.section(SECTION_ARENA, |w| self.windows.arena().encode(w));
+        builder.section(SECTION_ARENA, |w| arena.encode(w));
         builder.section(SECTION_DATASET, |w| {
             // Labels only: the elements were already written — once — to the
             // arena section, and the window views are derived, not stored.
-            w.put_usize(self.dataset.len());
-            for (_, sequence) in self.dataset.iter() {
+            w.put_usize(arena.sequence_count());
+            for i in 0..arena.sequence_count() {
+                let sequence = arena.sequence(SequenceId(i)).expect("ids are dense");
                 sequence.label().map(str::to_string).encode(w);
             }
         });
@@ -288,7 +291,7 @@ where
         // the only section carrying element payloads, and reconstructing the
         // window store from it is pure arithmetic over the boundaries — no
         // per-window allocation anywhere on this path.
-        let arena: ElementArena<E> = snapshot.decode_section(SECTION_ARENA)?;
+        let mut arena: ElementArena<E> = snapshot.decode_section(SECTION_ARENA)?;
         let mut r = snapshot.section_reader(SECTION_DATASET)?;
         let sequence_count = r.take_len(1)?;
         if sequence_count != arena.sequence_count() {
@@ -297,33 +300,30 @@ where
                 arena.sequence_count()
             )));
         }
-        let mut sequences = Vec::with_capacity(sequence_count);
         for i in 0..sequence_count {
-            let label = Option::<String>::decode(&mut r)?;
-            let elements = arena
-                .sequence_slice(SequenceId(i))
-                .expect("sequence ids are dense")
-                .to_vec();
-            let mut sequence = Sequence::new(elements);
-            if let Some(label) = label {
-                sequence.set_label(label);
+            if let Some(label) = Option::<String>::decode(&mut r)? {
+                arena.set_label(SequenceId(i), label);
             }
-            sequences.push(sequence);
         }
         r.expect_empty(SECTION_DATASET)?;
-        let dataset = SequenceDataset::from_sequences(sequences);
-        let windows = Arc::new(WindowStore::partition(Arc::new(arena), config.window_len()));
-        if manifest.sequences != dataset.len() || manifest.windows != windows.len() {
+        let windows = Arc::new(WindowStore::partition(arena, config.window_len()));
+        let window_count = windows.len();
+        if manifest.sequences != sequence_count || manifest.windows != window_count {
             return Err(StorageError::Malformed(
                 "manifest counts disagree with section contents".into(),
             ));
         }
 
         let distance = Arc::new(distance);
+        // The gap prefix tables are runtime context like the counting metric:
+        // rebuilt by scanning the loaded arena's sequence slices (ground
+        // distances only — zero *sequence-distance* calls), not stored.
+        let gap_prefixes = crate::database::build_gap_prefixes(distance.as_ref(), windows.arena());
         let counter = CallCounter::new();
         let cell_counter = ssr_distance::CellCounter::new();
+        // The metric takes the store: the one handle the database keeps.
         let metric: WindowMetric<E, D> = CountingMetric::new(
-            WindowSliceMetric::new(Arc::clone(&distance), Arc::clone(&windows)),
+            WindowSliceMetric::new(Arc::clone(&distance), windows),
             counter.clone(),
         )
         .with_cell_counter(cell_counter.clone());
@@ -350,11 +350,10 @@ where
             }
         };
         r.expect_empty(SECTION_INDEX)?;
-        if index.len() != windows.len() {
+        if index.len() != window_count {
             return Err(StorageError::Malformed(format!(
-                "index stores {} items for {} windows",
+                "index stores {} items for {window_count} windows",
                 index.len(),
-                windows.len()
             )));
         }
         // The framework always inserts windows in id order, so the stored
@@ -363,7 +362,7 @@ where
         // never reach the metric's slice resolution (which would panic on an
         // out-of-range id).
         let items = index.stored_items();
-        if items.len() != windows.len() || items.iter().enumerate().any(|(i, w)| w.0 != i) {
+        if items.len() != window_count || items.iter().enumerate().any(|(i, w)| w.0 != i) {
             return Err(StorageError::Malformed(
                 "index item handles must map 1:1 onto the window table".into(),
             ));
@@ -373,7 +372,7 @@ where
         // present, the ids must be strictly increasing and in range — a
         // snapshot claiming a tombstone for a sequence it does not store is
         // malformed, not silently ignored.
-        let mut tombstones = vec![false; dataset.len()];
+        let mut tombstones = vec![false; sequence_count];
         let has_tombstones = snapshot
             .sections()
             .iter()
@@ -389,10 +388,9 @@ where
                         "tombstone ids must be strictly increasing".into(),
                     ));
                 }
-                if id >= dataset.len() {
+                if id >= sequence_count {
                     return Err(StorageError::Malformed(format!(
-                        "tombstone for sequence {id} but only {} sequences stored",
-                        dataset.len()
+                        "tombstone for sequence {id} but only {sequence_count} sequences stored"
                     )));
                 }
                 tombstones[id] = true;
@@ -406,11 +404,6 @@ where
             }
         }
 
-        // The gap prefix tables are runtime context like the counting metric:
-        // rebuilt by scanning the loaded arena's sequence slices (ground
-        // distances only — zero *sequence-distance* calls), not stored.
-        let gap_prefixes = crate::database::build_gap_prefixes(distance.as_ref(), windows.arena());
-
         // No counter reset here: the counter was created fresh above, so a
         // non-zero value after loading means decoding evaluated distances —
         // exactly the regression the bench `--snapshot` zero-calls gate
@@ -419,8 +412,6 @@ where
         Ok(SubsequenceDatabase {
             config,
             distance,
-            dataset: std::sync::Arc::new(dataset),
-            windows,
             index,
             counter,
             cell_counter,

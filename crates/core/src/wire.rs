@@ -15,17 +15,10 @@
 //! element tag so a server can refuse a mismatched element type *before*
 //! attempting to decode elements of the wrong shape.
 //!
-//! **Version negotiation.** The current version is 3; the server also
-//! accepts version-1 and version-2 requests and *echoes the request's
-//! version* in its response, encoding the response body in that version's
-//! layout. Version 2 added the `Metrics` request/response pair and appended
-//! `uptime_ms` and `cache_bytes_estimate` to the `Stats` body — a version-1
-//! `Stats` body omits them (the decoder defaults them to zero), so old
-//! clients keep decoding every reply bit-for-bit as before. Version 3 added
-//! the [`WireError::Draining`] refusal a draining server answers new queries
-//! with; when replying to a pre-3 peer the server downgrades it to
-//! [`WireError::Internal`] (same retry-later meaning, a tag the old decoder
-//! knows), so old clients never see an unknown error tag.
+//! **One version.** A payload whose version byte is not [`WIRE_VERSION`] is
+//! refused with the typed [`WireError::UnsupportedVersion`], in either
+//! direction; no peer older than the current version was ever deployed, so
+//! nothing is negotiated and every body has exactly one layout.
 //!
 //! The module is pure codec — no sockets. [`crate::serve`] owns the IO.
 
@@ -33,12 +26,17 @@ use ssr_storage::{Decode, Encode, Reader, StorableElement, StorageError, Writer}
 
 use crate::query::{QueryStats, SubsequenceMatch};
 
-/// Current wire protocol version; what [`Request::encode_payload`] writes.
+/// The wire protocol version: what every payload leads with, and the only
+/// one decoded.
 pub const WIRE_VERSION: u8 = 3;
 
-/// Oldest wire version still decoded. Version-1 peers get version-1-shaped
-/// replies (see the module docs on negotiation).
-pub const WIRE_VERSION_MIN: u8 = 1;
+/// Consumes the version byte, refusing any other than [`WIRE_VERSION`].
+fn take_version(r: &mut Reader<'_>) -> Result<(), StorageError> {
+    match r.take_u8()? {
+        WIRE_VERSION => Ok(()),
+        other => Err(StorageError::UnsupportedVersion(u32::from(other))),
+    }
+}
 
 const REQ_PING: u8 = 0;
 const REQ_STATS: u8 = 1;
@@ -172,7 +170,7 @@ pub enum Request<E> {
         queries: Vec<Vec<E>>,
     },
     /// The server's telemetry in Prometheus text exposition; answered with
-    /// [`Response::Metrics`] without queueing. Added in wire version 2.
+    /// [`Response::Metrics`] without queueing.
     Metrics,
 }
 
@@ -200,17 +198,8 @@ impl<E: StorableElement> Request<E> {
     /// element mismatch surfaces as a typed error before any element is
     /// decoded.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, StorageError> {
-        Self::decode_payload_versioned(payload).map(|(_, request)| request)
-    }
-
-    /// [`Self::decode_payload`] plus the request's wire version, which the
-    /// server echoes when encoding its response.
-    pub fn decode_payload_versioned(payload: &[u8]) -> Result<(u8, Self), StorageError> {
         let mut r = Reader::new(payload);
-        let version = r.take_u8()?;
-        if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-            return Err(StorageError::UnsupportedVersion(u32::from(version)));
-        }
+        take_version(&mut r)?;
         let request = match r.take_u8()? {
             REQ_PING => Request::Ping,
             REQ_STATS => Request::Stats,
@@ -235,7 +224,7 @@ impl<E: StorableElement> Request<E> {
             }
         };
         r.expect_empty("wire request")?;
-        Ok((version, request))
+        Ok(request)
     }
 }
 
@@ -351,20 +340,14 @@ pub struct ServerStatsSnapshot {
     pub cache_entries: usize,
     /// Query batches rejected with [`WireError::Overloaded`].
     pub rejected_overload: u64,
-    /// Milliseconds since the server started. Wire version ≥ 2; decodes as
-    /// zero from a version-1 body.
+    /// Milliseconds since the server started.
     pub uptime_ms: u64,
     /// Estimated resident bytes of the result cache (keys plus cached
-    /// outcomes). Wire version ≥ 2; decodes as zero from a version-1 body.
+    /// outcomes).
     pub cache_bytes_estimate: u64,
 }
 
-/// Encodes a stats body in the layout of `version`: the ten version-1
-/// fields, then — for version ≥ 2 — the uptime and cache-bytes fields. The
-/// split is what keeps old clients decoding (they are answered in their own
-/// version, which simply omits the appended fields, so their
-/// exact-consumption check still passes).
-fn encode_stats_snapshot(s: &ServerStatsSnapshot, w: &mut Writer, version: u8) {
+fn encode_stats_snapshot(s: &ServerStatsSnapshot, w: &mut Writer) {
     w.put_usize(s.sequences);
     w.put_usize(s.windows);
     w.put_usize(s.arena_bytes);
@@ -375,17 +358,12 @@ fn encode_stats_snapshot(s: &ServerStatsSnapshot, w: &mut Writer, version: u8) {
     w.put_u64(s.cache_misses);
     w.put_usize(s.cache_entries);
     w.put_u64(s.rejected_overload);
-    if version >= 2 {
-        w.put_u64(s.uptime_ms);
-        w.put_u64(s.cache_bytes_estimate);
-    }
+    w.put_u64(s.uptime_ms);
+    w.put_u64(s.cache_bytes_estimate);
 }
 
-fn decode_stats_snapshot(
-    r: &mut Reader<'_>,
-    version: u8,
-) -> Result<ServerStatsSnapshot, StorageError> {
-    let mut snapshot = ServerStatsSnapshot {
+fn decode_stats_snapshot(r: &mut Reader<'_>) -> Result<ServerStatsSnapshot, StorageError> {
+    Ok(ServerStatsSnapshot {
         sequences: r.take_usize()?,
         windows: r.take_usize()?,
         arena_bytes: r.take_usize()?,
@@ -396,14 +374,9 @@ fn decode_stats_snapshot(
         cache_misses: r.take_u64()?,
         cache_entries: r.take_usize()?,
         rejected_overload: r.take_u64()?,
-        uptime_ms: 0,
-        cache_bytes_estimate: 0,
-    };
-    if version >= 2 {
-        snapshot.uptime_ms = r.take_u64()?;
-        snapshot.cache_bytes_estimate = r.take_u64()?;
-    }
-    Ok(snapshot)
+        uptime_ms: r.take_u64()?,
+        cache_bytes_estimate: r.take_u64()?,
+    })
 }
 
 /// A typed refusal. The connection stays usable after any of these — the
@@ -429,8 +402,6 @@ pub enum WireError {
     Internal(String),
     /// The server is draining: it finishes in-flight work but refuses new
     /// query batches. Retry against another replica or after the restart.
-    /// Added in wire version 3; pre-3 peers receive [`WireError::Internal`]
-    /// instead (see the module docs on negotiation).
     Draining,
 }
 
@@ -439,10 +410,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Overloaded => write!(f, "server overloaded: admission queue full"),
             WireError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported wire version {v} (expected {WIRE_VERSION_MIN}..={WIRE_VERSION})"
-                )
+                write!(f, "unsupported wire version {v} (expected {WIRE_VERSION})")
             }
             WireError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             WireError::ElementMismatch { expected, found } => {
@@ -531,28 +499,20 @@ pub enum Response {
     /// The request was refused; see [`WireError`].
     Error(WireError),
     /// The server's telemetry as Prometheus text exposition, answering
-    /// [`Request::Metrics`]. Added in wire version 2.
+    /// [`Request::Metrics`].
     Metrics(String),
 }
 
 impl Response {
-    /// Encodes the response into a raw (unframed) payload at the current
-    /// [`WIRE_VERSION`].
+    /// Encodes the response into a raw (unframed) payload.
     pub fn encode_payload(&self) -> Vec<u8> {
-        self.encode_payload_versioned(WIRE_VERSION)
-    }
-
-    /// Encodes the response in the layout of `version` — the server echoes
-    /// the version the request arrived in, so version-1 clients receive
-    /// version-1-shaped bodies.
-    pub fn encode_payload_versioned(&self, version: u8) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u8(version);
+        w.put_u8(WIRE_VERSION);
         match self {
             Response::Pong => w.put_u8(RESP_PONG),
             Response::Stats(stats) => {
                 w.put_u8(RESP_STATS);
-                encode_stats_snapshot(stats, &mut w, version);
+                encode_stats_snapshot(stats, &mut w);
             }
             Response::ShuttingDown => w.put_u8(RESP_SHUTTING_DOWN),
             Response::Outcomes(outcomes) => {
@@ -561,13 +521,7 @@ impl Response {
             }
             Response::Error(err) => {
                 w.put_u8(RESP_ERROR);
-                // `Draining` is a version-3 tag; a pre-3 peer gets the
-                // closest error its decoder knows (same retry-later intent).
-                if version < 3 && *err == WireError::Draining {
-                    WireError::Internal("server is draining".to_string()).encode(&mut w);
-                } else {
-                    err.encode(&mut w);
-                }
+                err.encode(&mut w);
             }
             Response::Metrics(text) => {
                 w.put_u8(RESP_METRICS);
@@ -577,18 +531,13 @@ impl Response {
         w.into_bytes()
     }
 
-    /// Decodes a response payload, demanding exact consumption. Accepts any
-    /// version in `WIRE_VERSION_MIN..=WIRE_VERSION`, defaulting fields a
-    /// version-1 body omits.
+    /// Decodes a response payload, demanding exact consumption.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, StorageError> {
         let mut r = Reader::new(payload);
-        let version = r.take_u8()?;
-        if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
-            return Err(StorageError::UnsupportedVersion(u32::from(version)));
-        }
+        take_version(&mut r)?;
         let response = match r.take_u8()? {
             RESP_PONG => Response::Pong,
-            RESP_STATS => Response::Stats(decode_stats_snapshot(&mut r, version)?),
+            RESP_STATS => Response::Stats(decode_stats_snapshot(&mut r)?),
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
             RESP_OUTCOMES => Response::Outcomes(Vec::<WireOutcome>::decode(&mut r)?),
             RESP_ERROR => Response::Error(WireError::decode(&mut r)?),
@@ -654,8 +603,8 @@ mod tests {
         ];
         for request in requests {
             let payload = request.encode_payload();
-            let (version, decoded) = Request::<Symbol>::decode_payload_versioned(&payload).unwrap();
-            assert_eq!(version, WIRE_VERSION);
+            assert_eq!(payload[0], WIRE_VERSION);
+            let decoded = Request::<Symbol>::decode_payload(&payload).unwrap();
             assert_eq!(decoded, request);
         }
     }
@@ -700,19 +649,22 @@ mod tests {
 
     #[test]
     fn version_and_kind_are_checked() {
-        let mut payload = Request::<Symbol>::Ping.encode_payload();
-        payload[0] = WIRE_VERSION + 1;
-        assert!(matches!(
-            Request::<Symbol>::decode_payload(&payload),
-            Err(StorageError::UnsupportedVersion(_))
-        ));
-
-        let mut payload = Request::<Symbol>::Ping.encode_payload();
-        payload[0] = 0;
-        assert!(matches!(
-            Request::<Symbol>::decode_payload(&payload),
-            Err(StorageError::UnsupportedVersion(_))
-        ));
+        // One version: its neighbours on both sides are refused by number,
+        // requests and responses alike.
+        for version in [0, 1, 2, WIRE_VERSION + 1, u8::MAX] {
+            let mut payload = Request::<Symbol>::Ping.encode_payload();
+            payload[0] = version;
+            assert!(matches!(
+                Request::<Symbol>::decode_payload(&payload),
+                Err(StorageError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+            let mut payload = Response::Error(WireError::Draining).encode_payload();
+            payload[0] = version;
+            assert!(matches!(
+                Response::decode_payload(&payload),
+                Err(StorageError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
 
         let mut payload = Request::<Symbol>::Ping.encode_payload();
         payload[1] = 200;
@@ -720,70 +672,6 @@ mod tests {
             Request::<Symbol>::decode_payload(&payload),
             Err(StorageError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn version_1_peers_still_roundtrip() {
-        // A version-1 request (byte-patched: the body layout is identical)
-        // decodes and reports its version, which the server echoes.
-        let mut payload = Request::<Symbol>::Ping.encode_payload();
-        payload[0] = 1;
-        let (version, decoded) = Request::<Symbol>::decode_payload_versioned(&payload).unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(decoded, Request::Ping);
-
-        // A stats body encoded for a version-1 client omits the appended
-        // fields; the version-2 decoder fills them with zero.
-        let stats = ServerStatsSnapshot {
-            sequences: 2,
-            windows: 40,
-            arena_bytes: 512,
-            workers: 1,
-            replicas: 1,
-            queries_executed: 9,
-            cache_hits: 1,
-            cache_misses: 9,
-            cache_entries: 3,
-            rejected_overload: 0,
-            uptime_ms: 55_000,
-            cache_bytes_estimate: 777,
-        };
-        let v1 = Response::Stats(stats).encode_payload_versioned(1);
-        let v2 = Response::Stats(stats).encode_payload_versioned(WIRE_VERSION);
-        assert_eq!(v1.len() + 16, v2.len(), "v2 appends two u64s");
-        match Response::decode_payload(&v1).unwrap() {
-            Response::Stats(decoded) => {
-                assert_eq!(decoded.uptime_ms, 0);
-                assert_eq!(decoded.cache_bytes_estimate, 0);
-                assert_eq!(decoded.queries_executed, stats.queries_executed);
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        match Response::decode_payload(&v2).unwrap() {
-            Response::Stats(decoded) => assert_eq!(decoded, stats),
-            other => panic!("expected stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn draining_downgrades_for_pre_v3_peers() {
-        // A version-3 peer sees the typed refusal verbatim.
-        let v3 = Response::Error(WireError::Draining).encode_payload_versioned(3);
-        assert_eq!(
-            Response::decode_payload(&v3).unwrap(),
-            Response::Error(WireError::Draining)
-        );
-        // Version-1 and version-2 peers get an `Internal` their decoders
-        // already know, carrying the same retry-later meaning.
-        for version in [1, 2] {
-            let old = Response::Error(WireError::Draining).encode_payload_versioned(version);
-            match Response::decode_payload(&old).unwrap() {
-                Response::Error(WireError::Internal(msg)) => {
-                    assert!(msg.contains("draining"), "message should say why: {msg}")
-                }
-                other => panic!("expected downgraded internal error, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! window partitioning is **prefix-stable** — growing the arena never moves
 //! an existing sequence, never reassigns a window id, and never changes what
 //! an outstanding [`WindowId`] resolves to. This is the property the whole
-//! incremental-maintenance path leans on: `append_sequence` re-partitions a
-//! grown arena and hands the index only the *tail* ids, which is sound only
-//! if every id below the old count is untouched. Checked both directly at
-//! the `ssr-sequence` layer and end-to-end through a snapshot-loaded
-//! database driven through appends.
-
-use std::sync::Arc;
+//! incremental-maintenance path leans on: `append_sequence` pushes onto the
+//! store in place and hands the index only the *tail* ids, which is sound
+//! only if every id below the old count is untouched and the grown store is
+//! the partition of the grown arena. Checked both directly at the
+//! `ssr-sequence` layer and end-to-end through a snapshot-loaded database
+//! driven through appends.
 
 use proptest::prelude::*;
 
@@ -79,26 +78,24 @@ proptest! {
         initial in prop::collection::vec(sym_seq(24), 1..4),
         appended in prop::collection::vec(sym_seq(24), 1..4),
     ) {
-        let mut arena = ElementArena::from_parts(Vec::new(), vec![0])
-            .expect("an empty arena is structurally valid");
+        let mut arena = ElementArena::default();
         for elements in &initial {
-            arena.push_sequence(elements);
+            arena.push_sequence(elements, None);
         }
-        let arena = Arc::new(arena);
-        let store = WindowStore::partition(Arc::clone(&arena), WINDOW_LEN);
+        let store = WindowStore::partition(arena.clone(), WINDOW_LEN);
         let before = capture(&store);
         let elements_before = arena.elements().to_vec();
 
-        let mut grown = ElementArena::clone(&arena);
+        let mut grown = arena.clone();
         for (i, elements) in appended.iter().enumerate() {
-            let id = grown.push_sequence(elements);
+            let id = grown.push_sequence(elements, None);
             prop_assert_eq!(id.0, initial.len() + i, "ids are handed out in order");
         }
         // The clone grew; the original arena behind the old store is frozen.
         prop_assert_eq!(arena.elements(), elements_before.as_slice());
         prop_assert_eq!(arena.sequence_count(), initial.len());
 
-        let grown_store = WindowStore::partition(Arc::new(grown), WINDOW_LEN);
+        let grown_store = WindowStore::partition(grown, WINDOW_LEN);
         assert_prefix_stable(&before, &grown_store)?;
 
         // Each appended sequence contributes exactly floor(len / l) windows.
@@ -107,6 +104,31 @@ proptest! {
 
         // And the old store still answers identically afterwards.
         assert_prefix_stable(&before, &store)?;
+    }
+
+    /// What lets an append skip the re-partition: a store grown by
+    /// `push_sequence` is the partition of its own (grown) arena — same
+    /// window table, same resolved slices — and its prefix never moved.
+    #[test]
+    fn a_pushed_store_equals_the_partition_of_its_arena(
+        initial in prop::collection::vec(sym_seq(24), 0..4),
+        appended in prop::collection::vec(sym_seq(24), 1..4),
+    ) {
+        let mut arena = ElementArena::default();
+        for elements in &initial {
+            arena.push_sequence(elements, None);
+        }
+        let mut store = WindowStore::partition(arena, WINDOW_LEN);
+        for (i, elements) in appended.iter().enumerate() {
+            let before = capture(&store);
+            let id = store.push_sequence(elements, None);
+            prop_assert_eq!(id.0, initial.len() + i);
+            assert_prefix_stable(&before, &store)?;
+            prop_assert_eq!(store.len(), before.len() + elements.len() / WINDOW_LEN);
+        }
+        let partitioned = WindowStore::partition(store.arena().clone(), WINDOW_LEN);
+        prop_assert_eq!(store.windows(), partitioned.windows());
+        prop_assert_eq!(capture(&store), capture(&partitioned));
     }
 
     /// The end-to-end property: a snapshot-loaded database keeps every

@@ -70,6 +70,12 @@ proptest! {
             queries.into_iter().map(Sequence::new).collect();
         let seq2 = QueryEngine::new(&database).batch_type2(&queries, 2.0);
         let seq3 = QueryEngine::new(&database).batch_type3(&queries, 4.0, 1.0);
+        // Telemetry is observation only: with the `ssr_obs` kill switch
+        // thrown the outcomes — results and stats — are bit-identical.
+        ssr_obs::set_enabled(false);
+        let silent2 = QueryEngine::new(&database).batch_type2(&queries, 2.0);
+        ssr_obs::set_enabled(true);
+        prop_assert_eq!(&seq2.outcomes, &silent2.outcomes);
         for threads in [2usize, 4] {
             let engine = QueryEngine::new(&database).with_threads(threads);
             let par2 = engine.batch_type2(&queries, 2.0);

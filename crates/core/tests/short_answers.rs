@@ -115,7 +115,7 @@ fn type2_is_the_brute_force_longest_on_the_five_known_seeds() {
             lambda: longest - 2,
             max_shift: 2,
         };
-        let truth = longest_similar_pair(&query, db.dataset(), db.distance(), constraints, 8.0)
+        let truth = longest_similar_pair(&query, &db.to_dataset(), db.distance(), constraints, 8.0)
             .expect("a similar pair exists");
         assert_eq!(truth.query_len(), longest, "seed {seed}: the case changed");
         assert!(before < longest, "seed {seed}: the case was never short");
@@ -157,7 +157,7 @@ fn a_run_of_seven_windows_yields_the_pair_of_its_sub_chain() {
     let regions = build_regions(&scan.matches, config.window_len(), config.max_shift);
     assert_eq!((regions[0].window_range, regions[0].chain_len), ((1, 7), 7));
 
-    let truth = longest_similar_pair(&query, db.dataset(), db.distance(), constraints, 2.0)
+    let truth = longest_similar_pair(&query, &db.to_dataset(), db.distance(), constraints, 2.0)
         .expect("a similar pair exists");
     // Windows 3..=7 are 18..48; window 2 (12..18) is not inside the pair.
     assert!(truth.db_range.start > 12 && truth.db_range.start <= 18 && truth.db_range.end >= 48);

@@ -195,7 +195,7 @@ proptest! {
             .expect("database builds");
 
         let constraints = BruteConstraints { lambda: config.lambda, max_shift: config.max_shift };
-        let (_, _, _, nearest) = nearest_pair(&query, db.dataset(), db.distance(), constraints)
+        let (_, _, _, nearest) = nearest_pair(&query, &db.to_dataset(), db.distance(), constraints)
             .expect("the query is long enough to have a pair");
         prop_assert!(nearest <= 2.0);
 

@@ -46,7 +46,7 @@ fn assert_roundtrip_parity<E, D, M>(
             .expect("snapshot loads");
 
     let planted = plant_query(
-        db.dataset(),
+        &db.to_dataset(),
         &mutator,
         &QueryConfig {
             planted_len: 2 * LAMBDA,

@@ -108,7 +108,7 @@ fn empty_v3_snapshot_bytes() -> Vec<u8> {
 fn empty_dataset_v3_snapshot_roundtrips() {
     let bytes = empty_v3_snapshot_bytes();
     let db = try_load(bytes.clone()).expect("an empty v3 snapshot is valid");
-    assert_eq!(db.dataset().len(), 0);
+    assert_eq!(db.sequence_count(), 0);
     assert_eq!(db.window_count(), 0);
     assert_eq!(db.windows().arena().len(), 0);
 

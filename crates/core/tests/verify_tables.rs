@@ -220,7 +220,7 @@ fn type1_is_the_brute_force_answer_on_small_inputs() {
             lambda: config.lambda,
             max_shift: config.max_shift,
         };
-        let brute = all_similar_pairs(query, db.dataset(), &distance, constraints, epsilon);
+        let brute = all_similar_pairs(query, &db.to_dataset(), &distance, constraints, epsilon);
         assert!(
             brute.len() > 100,
             "{}: brute force found {} pairs",

@@ -235,6 +235,24 @@ fn payload_damage_keeps_the_connection_usable() {
         Response::Pong
     ));
 
+    // There is one wire version: the ones before it and the one after are
+    // refused by number, and the connection survives each refusal.
+    for version in [1, 2, ssr_core::WIRE_VERSION + 1] {
+        let mut ping = Request::<Symbol>::Ping.encode_payload();
+        ping[0] = version;
+        write_frame(&mut stream, &ping).unwrap();
+        let payload = read_frame(&mut stream, 1 << 20).unwrap().expect("answer");
+        assert_eq!(
+            payload[0],
+            ssr_core::WIRE_VERSION,
+            "answered in the one version"
+        );
+        match Response::decode_payload(&payload).unwrap() {
+            Response::Error(WireError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            other => panic!("expected unsupported version {version}, got {other:?}"),
+        }
+    }
+
     // A wrong element tag is likewise a typed, connection-preserving error.
     let mismatched: Request<ssr_sequence::Pitch> = Request::Query {
         spec: QuerySpec::Type1 { epsilon: 1.0 },

@@ -3,18 +3,12 @@
 //! The paper's query-performance figures (8–11) report the **percentage of
 //! distance computations** an index performs relative to the naive linear
 //! scan. [`CallCounter`] is a cheap, cloneable counter shared between the
-//! benchmark harness and whatever component evaluates distances, and
-//! [`CountingDistance`] wraps any [`SequenceDistance`] so every evaluation is
-//! counted transparently.
+//! benchmark harness and whatever component evaluates distances (the index
+//! layer's `CountingMetric` is the one charging point).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-use ssr_sequence::Element;
-
-use crate::end_table::EndSpec;
-use crate::traits::{DistanceProperties, SequenceDistance};
 
 thread_local! {
     /// Monotone per-thread tally of distance evaluations recorded by *any*
@@ -154,12 +148,6 @@ impl CallCounter {
         THREAD_CALLS.with(|c| c.set(c.get().wrapping_add(1)));
     }
 
-    /// Records `n` distance evaluations at once.
-    pub fn record_many(&self, n: u64) {
-        self.count.fetch_add(n, Ordering::Relaxed);
-        THREAD_CALLS.with(|c| c.set(c.get().wrapping_add(n)));
-    }
-
     /// Monotone tally of the distance evaluations recorded by *any* counter on
     /// the **current thread**, ever. Reading it before and after a block of
     /// work attributes distance calls to that block exactly, even while other
@@ -182,113 +170,26 @@ impl CallCounter {
     }
 }
 
-/// A [`SequenceDistance`] wrapper that counts every call through a shared
-/// [`CallCounter`].
-#[derive(Clone, Debug)]
-pub struct CountingDistance<D> {
-    inner: D,
-    counter: CallCounter,
-}
-
-impl<D> CountingDistance<D> {
-    /// Wraps `inner`, counting calls on `counter`.
-    pub fn new(inner: D, counter: CallCounter) -> Self {
-        CountingDistance { inner, counter }
-    }
-
-    /// The shared counter.
-    pub fn counter(&self) -> &CallCounter {
-        &self.counter
-    }
-
-    /// The wrapped distance.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-}
-
-impl<E: Element, D: SequenceDistance<E>> SequenceDistance<E> for CountingDistance<D> {
-    fn distance(&self, a: &[E], b: &[E]) -> f64 {
-        self.counter.record();
-        self.inner.distance(a, b)
-    }
-
-    fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
-        self.counter.record();
-        self.inner.distance_within(a, b, tau)
-    }
-
-    /// Counted as one evaluation: one run of the measure's program.
-    fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
-        self.counter.record();
-        self.inner.end_table(a, b, ends, tau, out)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn properties(&self) -> DistanceProperties {
-        self.inner.properties()
-    }
-
-    fn max_distance(&self, len: usize) -> Option<f64> {
-        self.inner.max_distance(len)
-    }
-
-    fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {
-        self.inner.length_lower_bound(a_len, b_len)
-    }
-
-    fn uses_gap_sums(&self) -> bool {
-        self.inner.uses_gap_sums()
-    }
-
-    fn gap_sum_lower_bound(&self, sum_a: f64, sum_b: f64) -> f64 {
-        self.inner.gap_sum_lower_bound(sum_a, sum_b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Levenshtein;
-    use ssr_sequence::Symbol;
-
-    fn sym(text: &str) -> Vec<Symbol> {
-        text.chars().map(Symbol::from_char).collect()
-    }
 
     #[test]
     fn counter_is_shared_across_clones() {
         let c = CallCounter::new();
         let c2 = c.clone();
         c.record();
-        c2.record_many(3);
-        assert_eq!(c.get(), 4);
-        assert_eq!(c2.get(), 4);
-        assert_eq!(c.reset(), 4);
+        c2.record();
+        assert_eq!(c.get(), 2);
+        assert_eq!(c2.get(), 2);
+        assert_eq!(c.reset(), 2);
         assert_eq!(c2.get(), 0);
-    }
-
-    #[test]
-    fn counting_distance_counts_and_delegates() {
-        let counter = CallCounter::new();
-        let d = CountingDistance::new(Levenshtein::new(), counter.clone());
-        let a = sym("KITTEN");
-        let b = sym("SITTING");
-        assert_eq!(d.distance(&a, &b), 3.0);
-        assert_eq!(d.distance(&a, &a), 0.0);
-        assert_eq!(counter.get(), 2);
-        assert_eq!(SequenceDistance::<Symbol>::name(&d), "Levenshtein");
-        assert!(SequenceDistance::<Symbol>::is_metric(&d));
-        assert_eq!(SequenceDistance::<Symbol>::max_distance(&d, 7), Some(7.0));
     }
 
     #[test]
     fn counter_handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CallCounter>();
-        assert_send_sync::<CountingDistance<Levenshtein>>();
+        assert_send_sync::<CellCounter>();
     }
 }

@@ -55,7 +55,7 @@ pub mod workspace;
 pub use alignment::{Alignment, Coupling};
 pub use counting::{
     dp_cells_thread_total, lower_bound_prunes_thread_total, pruning_enabled, record_dp_cells,
-    record_lower_bound_prune, set_pruning_enabled, CallCounter, CellCounter, CountingDistance,
+    record_lower_bound_prune, set_pruning_enabled, CallCounter, CellCounter,
 };
 pub use dtw::Dtw;
 pub use end_table::EndSpec;

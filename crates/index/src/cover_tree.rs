@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -114,11 +114,6 @@ impl<T, M: Metric<T>> CoverTree<T, M> {
             by_level: BTreeMap::new(),
             root: None,
         }
-    }
-
-    /// The metric used by the tree.
-    pub fn metric(&self) -> &M {
-        &self.metric
     }
 
     /// Mutable access to the metric (used by live ingestion to swap in a
@@ -222,6 +217,12 @@ impl<T, M: Metric<T>> CoverTree<T, M> {
 }
 
 impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
+    type Metric = M;
+
+    fn metric(&self) -> &M {
+        &self.metric
+    }
+
     fn insert(&mut self, item: T) -> ItemId {
         let idx = self.items.len();
         self.items.push(item);
@@ -321,12 +322,6 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
 
     fn item(&self, id: ItemId) -> Option<&T> {
         self.items.get(id.0)
-    }
-
-    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        one_lane_query(self, radius, |item, tau| {
-            self.metric.dist_within(query, item, tau)
-        })
     }
 
     /// Descends level by level; a node is probed once, for every lane that

@@ -3,7 +3,7 @@
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{one_lane_query, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// The naive baseline: a range query computes the distance from the query to
 /// every stored item. All pruning ratios in the paper's Figures 8–11 are
@@ -22,11 +22,6 @@ impl<T, M: Metric<T>> LinearScan<T, M> {
             metric,
             items: Vec::new(),
         }
-    }
-
-    /// The metric in use.
-    pub fn metric(&self) -> &M {
-        &self.metric
     }
 
     /// Mutable access to the metric (used by live ingestion to swap in a
@@ -56,6 +51,12 @@ impl<T, M> LinearScan<T, M> {
 }
 
 impl<T, M: Metric<T>> RangeIndex<T> for LinearScan<T, M> {
+    type Metric = M;
+
+    fn metric(&self) -> &M {
+        &self.metric
+    }
+
     fn insert(&mut self, item: T) -> ItemId {
         let id = ItemId(self.items.len());
         self.items.push(item);
@@ -68,12 +69,6 @@ impl<T, M: Metric<T>> RangeIndex<T> for LinearScan<T, M> {
 
     fn item(&self, id: ItemId) -> Option<&T> {
         self.items.get(id.0)
-    }
-
-    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        one_lane_query(self, radius, |item, tau| {
-            self.metric.dist_within(query, item, tau)
-        })
     }
 
     /// Every item is visited once, in id order, for all lanes together (one

@@ -117,8 +117,10 @@ where
 /// kernel invocation are borrowed views of contiguous storage, which is the
 /// whole point of the flat layout.
 ///
-/// The store handle is an `Arc` because the index, the framework database
-/// and this metric all share one window table; the metric only ever reads.
+/// This handle is the **only** one a database keeps on its window table: the
+/// framework reads the store through its index's metric, and a read-only
+/// replica shares it by cloning the index (an `Arc` clone here). Evaluations
+/// only ever read; [`Self::windows_mut`] is how a sequence is appended.
 #[derive(Clone, Debug)]
 pub struct WindowSliceMetric<E, D> {
     distance: D,
@@ -145,16 +147,14 @@ impl<E: Element, D> WindowSliceMetric<E, D> {
         &self.windows
     }
 
-    /// Replaces the window store item ids resolve against.
-    ///
-    /// The live-ingestion path appends sequences by building a grown store
-    /// (same window length, the old window table as a prefix) and swapping it
-    /// in here before inserting the new tail ids. The caller must uphold the
-    /// prefix invariant: every id already stored in an index using this
-    /// metric has to resolve to the same elements through the new store,
-    /// otherwise the index's structure silently stops matching its items.
-    pub fn set_windows(&mut self, windows: Arc<WindowStore<E>>) {
-        self.windows = windows;
+    /// The store, for appending ([`WindowStore::push_sequence`], its one
+    /// mutation): in place when this metric holds the only handle, on a
+    /// private copy (`Arc::make_mut`) while a replica's metric still reads
+    /// the old one. Either way the store is append-only, so every id already
+    /// stored in an index using this metric keeps resolving to the same
+    /// elements.
+    pub fn windows_mut(&mut self) -> &mut WindowStore<E> {
+        Arc::make_mut(&mut self.windows)
     }
 
     /// Resolves one stored item to its element slice.
@@ -242,8 +242,8 @@ impl<M> CountingMetric<M> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped metric (the live-ingestion path uses
-    /// this to swap a grown window store into a [`WindowSliceMetric`]).
+    /// Mutable access to the wrapped metric (the live-ingestion path grows
+    /// a [`WindowSliceMetric`]'s window store through this).
     pub fn inner_mut(&mut self) -> &mut M {
         &mut self.inner
     }
@@ -319,10 +319,20 @@ mod tests {
         let ds: SequenceDataset<Symbol> =
             vec![Sequence::new(sym("ACGTAGGT"))].into_iter().collect();
         let store = Arc::new(partition_windows_dataset(&ds, 4));
-        let m = WindowSliceMetric::new(Levenshtein::new(), Arc::clone(&store));
+        let mut m = WindowSliceMetric::new(Levenshtein::new(), Arc::clone(&store));
         // Item–item distances resolve both ids to arena slices…
         assert_eq!(m.dist(&WindowId(0), &WindowId(1)), 1.0); // ACGT vs AGGT
         assert_eq!(m.dist_within(&WindowId(0), &WindowId(1), 0.5), None);
+
+        // …and an append while `store` is still held elsewhere grows a
+        // private copy: the other handle keeps its two windows.
+        m.windows_mut().push_sequence(&sym("ACGA"), None);
+        assert_eq!(m.dist(&WindowId(0), &WindowId(2)), 1.0);
+        assert_eq!((store.len(), m.windows().len()), (2, 3));
+        // Once unshared, the next append happens in place.
+        let before = Arc::as_ptr(m.windows());
+        m.windows_mut().push_sequence(&sym("TTTT"), None);
+        assert_eq!(Arc::as_ptr(m.windows()), before);
 
         // A counting wrapper charges a probe the caller evaluates itself —
         // a raw slice against a resolved item — like any other evaluation.

@@ -79,28 +79,18 @@ impl<T, M: Metric<T>> MvReferenceIndex<T, M> {
         self.num_references
     }
 
-    /// The metric in use.
-    pub fn metric(&self) -> &M {
-        &self.metric
-    }
-
     /// Mutable access to the metric (used by live ingestion to swap in a
     /// grown window store before inserting the new tail items).
     pub fn metric_mut(&mut self) -> &mut M {
         &mut self.metric
     }
-
-    /// Whether items were inserted ad hoc since the last [`Self::rebuild`]
-    /// (a dirty index re-pivots lazily: queries and snapshots demand a
-    /// rebuild first, and the framework's mutation path performs it once per
-    /// mutation batch rather than per insert).
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
 }
 
 impl<T: Send + Sync, M: Metric<T>> MvReferenceIndex<T, M> {
-    /// Bulk-inserts items and rebuilds the pivot table once at the end.
+    /// Bulk-inserts items and rebuilds the **whole** pivot table once at the
+    /// end — pivots are selected over the final item set, so this structure
+    /// has no cheaper way to grow. It is also what appending a sequence to a
+    /// framework database costs on this backend.
     pub fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
         self.items.extend(items);
         self.dirty = true;
@@ -188,6 +178,12 @@ impl<T, M> MvReferenceIndex<T, M> {
 }
 
 impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
+    type Metric = M;
+
+    fn metric(&self) -> &M {
+        &self.metric
+    }
+
     fn insert(&mut self, item: T) -> ItemId {
         let id = ItemId(self.items.len());
         self.items.push(item);
@@ -201,10 +197,6 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
 
     fn item(&self, id: ItemId) -> Option<&T> {
         self.items.get(id.0)
-    }
-
-    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        self.range_query_counted(query, radius).0
     }
 
     /// One probe per pivot fills that pivot's distance to every lane — at an

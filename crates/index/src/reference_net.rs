@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
-use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// Configuration of a [`ReferenceNet`].
 #[derive(Clone, Copy, Debug)]
@@ -239,11 +239,6 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
     /// The configuration this net was built with.
     pub fn config(&self) -> ReferenceNetConfig {
         self.config
-    }
-
-    /// The metric used by the net.
-    pub fn metric(&self) -> &M {
-        &self.metric
     }
 
     /// Mutable access to the metric (used by live ingestion to swap in a
@@ -717,6 +712,12 @@ impl<T, M> ReferenceNet<T, M> {
 }
 
 impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
+    type Metric = M;
+
+    fn metric(&self) -> &M {
+        &self.metric
+    }
+
     fn insert(&mut self, item: T) -> ItemId {
         let idx = self.items.len();
         self.items.push(item);
@@ -784,12 +785,6 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
         } else {
             None
         }
-    }
-
-    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
-        one_lane_query(self, radius, |item, tau| {
-            self.metric.dist_within(query, item, tau)
-        })
     }
 
     /// Algorithm 3 for every lane at once: references are visited level by

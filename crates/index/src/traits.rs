@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::metric::Metric;
+
 /// Identifier of an item stored in an index.
 ///
 /// Items keep the id they were assigned at insertion for the lifetime of the
@@ -129,6 +131,12 @@ pub(crate) fn undecided(decided: &[Option<bool>], lanes: usize, nodes: usize, no
 
 /// An index answering range similarity queries `{ x : δ(q, x) ≤ radius }`.
 pub trait RangeIndex<T> {
+    /// The metric the index was built with.
+    type Metric: Metric<T>;
+
+    /// The metric in use.
+    fn metric(&self) -> &Self::Metric;
+
     /// Inserts an item, returning its id.
     fn insert(&mut self, item: T) -> ItemId;
 
@@ -147,7 +155,13 @@ pub trait RangeIndex<T> {
     /// All ids whose item lies within `radius` of `query`.
     ///
     /// The result order is unspecified; callers that need determinism sort.
-    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId>;
+    /// This is the one-lane [`Self::family_query`] whose probe is the
+    /// metric's `dist_within(query, item, tau)`.
+    fn range_query(&self, query: &T, radius: f64) -> Vec<ItemId> {
+        one_lane_query(self, radius, |item, tau| {
+            self.metric().dist_within(query, item, tau)
+        })
+    }
 
     /// One range query for a *family* of `lanes ≥ 1` probes that are cheap to
     /// evaluate together — the framework's query segments that start at one
@@ -171,9 +185,8 @@ pub trait RangeIndex<T> {
     fn space_stats(&self) -> SpaceStats;
 }
 
-/// [`RangeIndex::range_query`] for every backend: the one-lane family whose
-/// probe is `dist_within(item, tau)`.
-pub(crate) fn one_lane_query<T, I: RangeIndex<T>>(
+/// The one-lane family query whose probe is `dist_within(item, tau)`.
+pub(crate) fn one_lane_query<T, I: RangeIndex<T> + ?Sized>(
     index: &I,
     radius: f64,
     mut dist_within: impl FnMut(&T, f64) -> Option<f64>,

@@ -17,10 +17,10 @@
 //! mmap-backed loader.
 
 use crate::element::Element;
-use crate::sequence::{SequenceDataset, SequenceId};
+use crate::sequence::{Sequence, SequenceDataset, SequenceId, SequenceView};
 
 /// Contiguous storage of every element of a [`SequenceDataset`], in dataset
-/// order, with per-sequence boundaries.
+/// order, with per-sequence boundaries and labels.
 ///
 /// The arena is **append-only**: windows are *views* into it, so mutating or
 /// reordering stored elements would silently change what every view resolves
@@ -36,22 +36,52 @@ pub struct ElementArena<E> {
     /// and `bounds.last() == elements.len()`, so there are `n + 1` entries
     /// for `n` sequences.
     bounds: Vec<usize>,
+    /// One entry per sequence. Not part of [`Self::resident_bytes`]: the
+    /// gated footprint counts what a distance evaluation can touch.
+    labels: Vec<Option<String>>,
+}
+
+impl<E> Default for ElementArena<E> {
+    fn default() -> Self {
+        ElementArena {
+            elements: Vec::new(),
+            bounds: vec![0],
+            labels: Vec::new(),
+        }
+    }
 }
 
 impl<E: Element> ElementArena<E> {
     /// Concatenates every sequence of `dataset` into one flat buffer.
     pub fn from_dataset(dataset: &SequenceDataset<E>) -> Self {
-        let mut elements = Vec::with_capacity(dataset.total_elements());
-        let mut bounds = Vec::with_capacity(dataset.len() + 1);
-        bounds.push(0);
+        let mut arena = ElementArena::default();
+        arena.elements.reserve_exact(dataset.total_elements());
         for (_, sequence) in dataset.iter() {
-            elements.extend_from_slice(sequence.elements());
-            bounds.push(elements.len());
+            arena.push_sequence(sequence.elements(), sequence.label().map(str::to_string));
         }
-        ElementArena { elements, bounds }
+        arena
     }
 
-    /// Rebuilds an arena from its raw parts (the snapshot decode path).
+    /// An owned copy of every sequence, labels included, in id order — for
+    /// callers that need a [`SequenceDataset`] (brute-force oracles, query
+    /// planting); nothing in the framework keeps one resident.
+    pub fn to_dataset(&self) -> SequenceDataset<E> {
+        (0..self.sequence_count())
+            .map(|i| {
+                let view = self
+                    .sequence(SequenceId(i))
+                    .expect("sequence ids are dense");
+                let mut sequence = Sequence::new(view.elements().to_vec());
+                if let Some(label) = view.label() {
+                    sequence.set_label(label);
+                }
+                sequence
+            })
+            .collect()
+    }
+
+    /// Rebuilds an unlabelled arena from its raw parts (the snapshot decode
+    /// path; labels are stored apart and attached with [`Self::set_label`]).
     ///
     /// Returns `None` when the bounds are not a monotone cover of
     /// `elements` starting at 0 — structurally impossible for an arena this
@@ -63,7 +93,12 @@ impl<E: Element> ElementArena<E> {
         if bounds.windows(2).any(|w| w[0] > w[1]) {
             return None;
         }
-        Some(ElementArena { elements, bounds })
+        let labels = vec![None; bounds.len() - 1];
+        Some(ElementArena {
+            elements,
+            bounds,
+            labels,
+        })
     }
 
     /// Appends one sequence's elements at the tail of the arena and returns
@@ -74,11 +109,23 @@ impl<E: Element> ElementArena<E> {
     /// into earlier sequences resolve to exactly the same elements after the
     /// append as before it. This is the live-ingestion primitive: appending
     /// never invalidates an id and never shifts a slice.
-    pub fn push_sequence(&mut self, elements: &[E]) -> SequenceId {
+    pub fn push_sequence(&mut self, elements: &[E], label: Option<String>) -> SequenceId {
         let id = SequenceId(self.sequence_count());
         self.elements.extend_from_slice(elements);
         self.bounds.push(self.elements.len());
+        self.labels.push(label);
         id
+    }
+
+    /// Sets or replaces one sequence's label; `false` when the id is unknown.
+    pub fn set_label(&mut self, id: SequenceId, label: String) -> bool {
+        match self.labels.get_mut(id.0) {
+            Some(slot) => {
+                *slot = Some(label);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Number of sequences the arena covers.
@@ -120,6 +167,12 @@ impl<E: Element> ElementArena<E> {
         Some(&self.elements[start..end])
     }
 
+    /// One stored sequence — its elements and label — borrowed in place.
+    pub fn sequence(&self, id: SequenceId) -> Option<SequenceView<'_, E>> {
+        let elements = self.sequence_slice(id)?;
+        Some(SequenceView::new(elements, self.labels[id.0].as_deref()))
+    }
+
     /// A half-open element range within one sequence (the window-resolution
     /// primitive). `None` when the sequence id or the range is out of bounds.
     pub fn slice(&self, id: SequenceId, start: usize, len: usize) -> Option<&[E]> {
@@ -134,9 +187,9 @@ impl<E: Element> ElementArena<E> {
     }
 
     /// Deterministic resident footprint of the arena in bytes: the flat
-    /// element buffer plus the boundary table. Computed from lengths, not
-    /// allocator capacities, so it is identical on every machine and safe to
-    /// gate in CI.
+    /// element buffer plus the boundary table (labels excluded). Computed
+    /// from lengths, not allocator capacities, so it is identical on every
+    /// machine and safe to gate in CI.
     pub fn resident_bytes(&self) -> usize {
         self.elements.len() * std::mem::size_of::<E>()
             + self.bounds.len() * std::mem::size_of::<usize>()
@@ -204,23 +257,40 @@ mod tests {
         let before: Vec<Vec<Symbol>> = (0..a.sequence_count())
             .map(|i| a.sequence_slice(SequenceId(i)).unwrap().to_vec())
             .collect();
-        let id = a.push_sequence(seq("GHIJK").elements());
+        let id = a.push_sequence(seq("GHIJK").elements(), Some("tail".into()));
         assert_eq!(id, SequenceId(2));
         assert_eq!(a.sequence_count(), 3);
         assert_eq!(a.bounds(), &[0, 4, 6, 11]);
         assert_eq!(a.sequence_slice(id).unwrap(), seq("GHIJK").elements());
+        assert_eq!(a.sequence(id).unwrap().label(), Some("tail"));
+        assert_eq!(a.sequence(SequenceId(0)).unwrap().label(), None);
         for (i, expected) in before.iter().enumerate() {
             assert_eq!(a.sequence_slice(SequenceId(i)).unwrap(), &expected[..]);
         }
         // Appending an empty sequence is allowed and keeps the cover valid.
-        let id = a.push_sequence(&[]);
+        let id = a.push_sequence(&[], None);
         assert_eq!(a.sequence_len(id), Some(0));
         assert_eq!(a.bounds().last(), Some(&a.len()));
     }
 
     #[test]
+    fn to_dataset_inverts_from_dataset_labels_included() {
+        let mut ds: SequenceDataset<Symbol> = ["ABCD", "", "EF"].iter().map(|t| seq(t)).collect();
+        ds.push(Sequence::with_label(seq("GHI").into_elements(), "P01234"));
+        let a = ElementArena::from_dataset(&ds);
+        assert_eq!(a.to_dataset(), ds);
+        let mut unlabelled = ElementArena::from_parts(a.elements().to_vec(), a.bounds().to_vec())
+            .expect("valid parts");
+        assert_ne!(unlabelled, a);
+        assert!(unlabelled.set_label(SequenceId(3), "P01234".into()));
+        assert!(!unlabelled.set_label(SequenceId(4), "nobody".into()));
+        assert_eq!(unlabelled, a);
+    }
+
+    #[test]
     fn empty_dataset_yields_an_empty_arena() {
         let a = arena(&[]);
+        assert_eq!(a, ElementArena::default());
         assert!(a.is_empty());
         assert_eq!(a.sequence_count(), 0);
         assert_eq!(a.resident_bytes(), std::mem::size_of::<usize>());

@@ -42,5 +42,5 @@ pub use alphabet::{Alphabet, DNA_ALPHABET, PITCH_ALPHABET, PROTEIN_ALPHABET};
 pub use arena::ElementArena;
 pub use element::{Element, Pitch, Point2D, Point3D, Symbol};
 pub use segment::{segment_count, segment_families, SegmentFamily, SegmentSpec};
-pub use sequence::{Sequence, SequenceDataset, SequenceId};
+pub use sequence::{Sequence, SequenceDataset, SequenceId, SequenceView};
 pub use window::{partition_windows, partition_windows_dataset, Window, WindowId, WindowStore};

@@ -76,15 +76,60 @@ impl<E: Element> Sequence<E> {
     /// Returns the continuous subsequence covering the half-open `range`,
     /// or `None` if the range is out of bounds or empty.
     pub fn subsequence(&self, range: Range<usize>) -> Option<&[E]> {
-        if range.start >= range.end || range.end > self.elements.len() {
-            return None;
-        }
-        Some(&self.elements[range])
+        subrange(&self.elements, range)
     }
 
     /// Iterator over the elements.
     pub fn iter(&self) -> std::slice::Iter<'_, E> {
         self.elements.iter()
+    }
+}
+
+fn subrange<E>(elements: &[E], range: Range<usize>) -> Option<&[E]> {
+    if range.start >= range.end || range.end > elements.len() {
+        return None;
+    }
+    Some(&elements[range])
+}
+
+/// A stored sequence borrowed in place: a slice of the element arena plus
+/// the sequence's label. What a database hands out instead of an owned
+/// [`Sequence`] — it keeps no second copy of its elements to lend.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SequenceView<'a, E> {
+    elements: &'a [E],
+    label: Option<&'a str>,
+}
+
+impl<'a, E> SequenceView<'a, E> {
+    pub(crate) fn new(elements: &'a [E], label: Option<&'a str>) -> Self {
+        SequenceView { elements, label }
+    }
+
+    /// The sequence label, if any.
+    pub fn label(&self) -> Option<&'a str> {
+        self.label
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.elements.len()
+    }
+
+    /// Whether the sequence is empty.
+    pub fn is_empty(&self) -> bool {
+        self.elements.is_empty()
+    }
+
+    /// The elements, borrowed from the arena.
+    pub fn elements(&self) -> &'a [E] {
+        self.elements
+    }
+
+    /// The continuous subsequence covering the half-open `range`, or `None`
+    /// if the range is out of bounds or empty (as [`Sequence::subsequence`]).
+    pub fn subsequence(&self, range: Range<usize>) -> Option<&'a [E]> {
+        subrange(self.elements, range)
     }
 }
 

@@ -11,7 +11,7 @@ use ssr_storage::{Decode, Encode, Reader, StorableElement, StorageError, Writer}
 
 use crate::arena::ElementArena;
 use crate::element::{Pitch, Point2D, Point3D, Symbol};
-use crate::sequence::{Sequence, SequenceDataset, SequenceId};
+use crate::sequence::SequenceId;
 use crate::window::WindowId;
 
 impl Encode for Symbol {
@@ -115,51 +115,13 @@ impl Decode for WindowId {
     }
 }
 
-impl<E: crate::Element + Encode> Encode for Sequence<E> {
-    fn encode(&self, w: &mut Writer) {
-        self.elements().to_vec().encode(w);
-        self.label().map(str::to_string).encode(w);
-    }
-}
-
-impl<E: crate::Element + Decode> Decode for Sequence<E> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
-        let elements = Vec::<E>::decode(r)?;
-        let label = Option::<String>::decode(r)?;
-        let mut sequence = Sequence::new(elements);
-        if let Some(label) = label {
-            sequence.set_label(label);
-        }
-        Ok(sequence)
-    }
-}
-
-impl<E: crate::Element + Encode> Encode for SequenceDataset<E> {
-    fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.len());
-        for (_, sequence) in self.iter() {
-            sequence.encode(w);
-        }
-    }
-}
-
-impl<E: crate::Element + Decode> Decode for SequenceDataset<E> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, StorageError> {
-        let len = r.take_len(1)?;
-        let mut sequences = Vec::with_capacity(len);
-        for _ in 0..len {
-            sequences.push(Sequence::decode(r)?);
-        }
-        Ok(SequenceDataset::from_sequences(sequences))
-    }
-}
-
 /// The arena serializes as one contiguous element run (snapshot format
 /// version 3): sequence boundaries first, then every element back to back.
 /// Decoding therefore performs exactly **one** element-buffer allocation for
 /// the whole database — no per-window (or per-sequence) element vectors —
 /// and the flat layout keeps the section compatible with a future
-/// mmap-backed loader that resolves slices without copying at all.
+/// mmap-backed loader that resolves slices without copying at all. Labels
+/// are not part of the section (the snapshot's `dataset` section holds them).
 impl<E: crate::Element + Encode> Encode for ElementArena<E> {
     fn encode(&self, w: &mut Writer) {
         w.put_usize(self.sequence_count());
@@ -202,6 +164,7 @@ impl<E: crate::Element + Decode> Decode for ElementArena<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::{Sequence, SequenceDataset};
     use crate::window::partition_windows_dataset;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
@@ -231,17 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn sequences_and_datasets_roundtrip() {
-        roundtrip(seq("GATTACA"));
-        let mut labelled = seq("ACGT");
-        labelled.set_label("chr1");
-        roundtrip(labelled);
-        roundtrip(Sequence::<Symbol>::new(vec![]));
-        let ds: SequenceDataset<Symbol> = vec![seq("AAAABBBB"), seq("CCCC")].into_iter().collect();
-        roundtrip(ds);
-    }
-
-    #[test]
     fn arenas_roundtrip_and_repartition_identically() {
         let ds: SequenceDataset<Symbol> = vec![seq("AAAABBBB"), seq("CCCCDDDD"), seq("EE")]
             .into_iter()
@@ -257,7 +209,7 @@ mod tests {
         let bytes = w.into_bytes();
         let back = ElementArena::<Symbol>::decode(&mut Reader::new(&bytes)).unwrap();
         let store = partition_windows_dataset(&ds, 4);
-        let restored = crate::window::WindowStore::partition(std::sync::Arc::new(back), 4);
+        let restored = crate::window::WindowStore::partition(back, 4);
         assert_eq!(restored.len(), store.len());
         for ((ida, a), (idb, b)) in restored.iter().zip(store.iter()) {
             assert_eq!((ida, a), (idb, b));

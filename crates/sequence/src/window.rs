@@ -17,7 +17,6 @@
 //! per-window footprint at a few machine words.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::arena::ElementArena;
 use crate::element::Element;
@@ -77,13 +76,18 @@ pub fn partition_windows(
     window_len: usize,
 ) -> Vec<Window> {
     assert!(window_len > 0, "window length must be positive");
-    let n = seq_len / window_len;
-    (0..n)
-        .map(|i| Window {
-            sequence: sequence_id,
-            start: i * window_len,
-        })
-        .collect()
+    window_views(sequence_id, seq_len, window_len).collect()
+}
+
+fn window_views(
+    sequence: SequenceId,
+    seq_len: usize,
+    window_len: usize,
+) -> impl Iterator<Item = Window> {
+    (0..seq_len / window_len).map(move |i| Window {
+        sequence,
+        start: i * window_len,
+    })
 }
 
 /// Builds an [`ElementArena`] over `dataset` and partitions every sequence,
@@ -92,15 +96,19 @@ pub fn partition_windows_dataset<E: Element>(
     dataset: &SequenceDataset<E>,
     window_len: usize,
 ) -> WindowStore<E> {
-    WindowStore::partition(Arc::new(ElementArena::from_dataset(dataset)), window_len)
+    WindowStore::partition(ElementArena::from_dataset(dataset), window_len)
 }
 
 /// All windows of a database, addressable by [`WindowId`], resolving to
-/// slices of a shared [`ElementArena`].
+/// slices of the [`ElementArena`] the store owns.
 ///
 /// The store is what gets inserted into the metric index (step 2 of the
 /// framework); window ids double as the index's item ids so that candidate
 /// pairs can be mapped back to `(sequence, offset)` provenance.
+///
+/// Like its arena the store is **append-only**: [`Self::push_sequence`] adds
+/// elements and window views strictly after the existing ones, so every
+/// outstanding [`WindowId`] keeps resolving to the same elements.
 //
 // Historical note: earlier versions also precomputed and serialized a
 // per-window gap-distance sum here. No consumer ever read it — the filter
@@ -113,7 +121,7 @@ pub fn partition_windows_dataset<E: Element>(
 pub struct WindowStore<E> {
     window_len: usize,
     windows: Vec<Window>,
-    arena: Arc<ElementArena<E>>,
+    arena: ElementArena<E>,
 }
 
 impl<E: Element> WindowStore<E> {
@@ -125,19 +133,33 @@ impl<E: Element> WindowStore<E> {
     /// # Panics
     ///
     /// Panics if `window_len == 0`.
-    pub fn partition(arena: Arc<ElementArena<E>>, window_len: usize) -> Self {
+    pub fn partition(arena: ElementArena<E>, window_len: usize) -> Self {
         assert!(window_len > 0, "window length must be positive");
-        let mut windows = Vec::new();
-        for s in 0..arena.sequence_count() {
-            let id = SequenceId(s);
-            let seq_len = arena.sequence_len(id).expect("sequence ids are dense");
-            windows.extend(partition_windows(id, seq_len, window_len));
-        }
-        WindowStore {
+        let mut store = WindowStore {
             window_len,
-            windows,
+            windows: Vec::new(),
             arena,
+        };
+        for s in 0..store.arena.sequence_count() {
+            store.cut_windows(SequenceId(s));
         }
+        store
+    }
+
+    /// Appends one sequence: its elements go to the tail of the arena and
+    /// its `⌊len / window_len⌋` window views to the tail of the table, under
+    /// the ids `old len()..len()`. The result equals [`Self::partition`] of
+    /// the grown arena, at the cost of the new sequence alone.
+    pub fn push_sequence(&mut self, elements: &[E], label: Option<String>) -> SequenceId {
+        let id = self.arena.push_sequence(elements, label);
+        self.cut_windows(id);
+        id
+    }
+
+    fn cut_windows(&mut self, id: SequenceId) {
+        let seq_len = self.arena.sequence_len(id).expect("sequence ids are dense");
+        self.windows
+            .extend(window_views(id, seq_len, self.window_len));
     }
 
     /// The fixed window length `l = λ/2`.
@@ -172,8 +194,8 @@ impl<E: Element> WindowStore<E> {
             .slice(window.sequence, window.start, self.window_len)
     }
 
-    /// The shared element arena backing every window.
-    pub fn arena(&self) -> &Arc<ElementArena<E>> {
+    /// The element arena backing every window.
+    pub fn arena(&self) -> &ElementArena<E> {
         &self.arena
     }
 
@@ -287,6 +309,21 @@ mod tests {
                 assert_eq!(store.slice(id).unwrap(), direct);
             }
         }
+    }
+
+    #[test]
+    fn push_sequence_appends_the_new_tail_only() {
+        let mut store = partition_windows_dataset(&dataset(&["AAAABBBB", "CC"]), 4);
+        let before: Vec<Window> = store.windows().to_vec();
+        let id = store.push_sequence(seq("DDDDEEEEF").elements(), None);
+        assert_eq!(id, SequenceId(2));
+        assert_eq!(&store.windows()[..before.len()], &before[..]);
+        assert_eq!(store.len(), before.len() + 2);
+        assert_eq!(store.slice(WindowId(3)).unwrap(), seq("EEEE").elements());
+        // Too short for a window: stored, but the table does not grow.
+        store.push_sequence(seq("GG").elements(), None);
+        assert_eq!(store.len(), before.len() + 2);
+        assert_eq!(store.arena().sequence_count(), 4);
     }
 
     #[test]
