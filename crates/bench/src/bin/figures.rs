@@ -9,8 +9,7 @@
 //! ```
 //!
 //! Absolute values differ from the paper (synthetic data, different machine);
-//! EXPERIMENTS.md records the measured numbers next to the paper's and
-//! discusses where the shapes agree.
+//! the shapes are what is comparable.
 
 use ssr_bench::{
     build_index, distance_histogram, print_header, print_table, protein_windows, pruning_ratio,

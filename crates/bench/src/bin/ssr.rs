@@ -40,7 +40,7 @@
 //! wire protocol (see `ssr_core::serve`): a worker pool behind a bounded
 //! admission queue, a sharded result cache, and optional read-only replicas
 //! sharing one element arena. It runs in the foreground until a client sends
-//! a wire `Shutdown`. `bench --serve ADDR` is the matching load generator.
+//! a wire `Shutdown`.
 //! `info --json` emits the same facts as `info` machine-readably (plus the
 //! pending-WAL op counts), for scripts and the CI smoke job.
 //!
@@ -74,16 +74,18 @@
 //! Each dataset is bound to its paper distance: DNA and PROTEINS use
 //! Levenshtein over symbols, SONGS uses ERP over pitches, TRAJ uses the
 //! discrete Fréchet distance over 2-D points. The snapshot manifest records
-//! both tags, and `query`/`info` dispatch on them.
+//! both tags; `Paired` and `by_element!` are where the pairing and the
+//! dispatch on the tag are written.
 
-use std::time::Instant;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use ssr_bench::json::JsonValue;
 use ssr_core::live::count_op_kinds;
 use ssr_core::storage::SnapshotManifest;
 use ssr_core::{
-    wal_path_for, FrameworkConfig, IndexBackend, LiveDatabase, QueryOutcome, ServeConfig, Server,
-    SubsequenceDatabase,
+    wal_path_for, FrameworkConfig, IndexBackend, LiveDatabase, QueryOutcome, QuerySpec, Request,
+    Response, ServeConfig, Server, SubsequenceDatabase, WireClient,
 };
 use ssr_datagen::{
     generate_dna, generate_proteins, generate_songs, generate_trajectories, plant_query, DnaConfig,
@@ -91,7 +93,7 @@ use ssr_datagen::{
     SymbolMutator, TrajConfig,
 };
 use ssr_distance::{DiscreteFrechet, Erp, Levenshtein, SequenceDistance};
-use ssr_sequence::{Element, Pitch, Point2D, Sequence, SequenceDataset, Symbol};
+use ssr_sequence::{Element, Pitch, Point2D, Sequence, SequenceDataset, SequenceId, Symbol};
 use ssr_storage::{Snapshot, StorableElement, StorageError, WalBinding};
 
 fn usage() -> ! {
@@ -124,19 +126,154 @@ fn main() {
         fail(format!("SSR_FAILPOINTS: {e}"));
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("build") => cmd_build(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("append") => cmd_append(&args[1..]),
-        Some("remove") => cmd_remove(&args[1..]),
-        Some("compact") => cmd_compact(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("drain") => cmd_drain(&args[1..]),
-        Some("cluster") => cmd_cluster(&args[1..]),
+    let mut args = Args(args.iter());
+    match args.next() {
+        Some("build") => cmd_build(args),
+        Some("info") => cmd_info(args),
+        Some("query") => cmd_query(args),
+        Some("append") => cmd_append(args),
+        Some("remove") => cmd_remove(args),
+        Some("compact") => cmd_compact(args),
+        Some("serve") => cmd_serve(args),
+        Some("stats") => cmd_stats(args),
+        Some("drain") => cmd_drain(args),
+        Some("cluster") => cmd_cluster(args),
         _ => usage(),
     }
+}
+
+/// Cursor over a verb's arguments.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    /// The next argument, if any: a flag name or an optional positional.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The next argument parsed as `T` — a required positional or the value
+    /// of the flag just read. Missing or unparsable is a usage error.
+    fn value<T: FromStr>(&mut self) -> T {
+        self.next()
+            .and_then(|text| text.parse().ok())
+            .unwrap_or_else(|| usage())
+    }
+
+    /// Refuses trailing arguments.
+    fn done(mut self) {
+        if self.next().is_some() {
+            usage();
+        }
+    }
+}
+
+// -- the element pairing ------------------------------------------------------
+
+/// An element type the CLI handles, bound to its paper distance and to the
+/// mutator that plants queries in it. Written once, here.
+trait Paired: Element + StorableElement + Send + Sync + 'static {
+    type Distance: SequenceDistance<Self> + 'static;
+    fn distance() -> Self::Distance;
+    fn mutator() -> impl QueryMutator<Self>;
+    /// `--text` as elements; only symbols have a literal spelling.
+    fn from_text(_text: &str) -> Option<Vec<Self>> {
+        None
+    }
+}
+
+impl Paired for Symbol {
+    type Distance = Levenshtein;
+    fn distance() -> Levenshtein {
+        Levenshtein::new()
+    }
+    fn mutator() -> impl QueryMutator<Self> {
+        SymbolMutator
+    }
+    fn from_text(text: &str) -> Option<Vec<Symbol>> {
+        Some(symbols(text))
+    }
+}
+
+fn symbols(text: &str) -> Vec<Symbol> {
+    text.chars().map(Symbol::from_char).collect()
+}
+
+impl Paired for Pitch {
+    type Distance = Erp;
+    fn distance() -> Erp {
+        Erp::new()
+    }
+    fn mutator() -> impl QueryMutator<Self> {
+        PitchMutator
+    }
+}
+
+impl Paired for Point2D {
+    type Distance = DiscreteFrechet;
+    fn distance() -> DiscreteFrechet {
+        DiscreteFrechet::new()
+    }
+    fn mutator() -> impl QueryMutator<Self> {
+        PointMutator::default()
+    }
+}
+
+/// Calls `$verb::<E>(args…)` with the element type `$manifest` records —
+/// the one dispatch on the manifest tag. `None` for a tag no [`Paired`]
+/// type carries.
+macro_rules! by_element {
+    ($manifest:expr, $verb:ident($($arg:expr),*)) => {
+        match $manifest.element.as_str() {
+            Symbol::TAG => Some($verb::<Symbol>($($arg),*)),
+            Pitch::TAG => Some($verb::<Pitch>($($arg),*)),
+            Point2D::TAG => Some($verb::<Point2D>($($arg),*)),
+            _ => None,
+        }
+    };
+}
+
+fn untyped(manifest: &SnapshotManifest) -> ! {
+    fail(format!(
+        "no typed loader for element '{}'",
+        manifest.element
+    ))
+}
+
+fn read_manifest(path: &str) -> SnapshotManifest {
+    let snapshot = Snapshot::open(path).unwrap_or_else(|e| fail(e));
+    SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e))
+}
+
+/// Cold-starts the database behind the snapshot at `path`, its WAL replayed
+/// read-only.
+fn load<E: Paired>(path: &str, manifest: &SnapshotManifest) -> SubsequenceDatabase<E, E::Distance> {
+    let distance = E::distance();
+    if manifest.distance != distance.name() {
+        fail(StorageError::DistanceMismatch {
+            expected: distance.name().to_string(),
+            found: manifest.distance.clone(),
+        });
+    }
+    let started = Instant::now();
+    let (db, replayed) =
+        ssr_core::load_with_wal(path, distance).unwrap_or_else(|e: StorageError| fail(e));
+    let replay_note = if replayed > 0 {
+        format!("; replayed {replayed} wal ops")
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "# cold start: loaded {} windows in {:.1} ms (0 distance calls; the original build \
+         spent {}{replay_note})",
+        db.window_count(),
+        started.elapsed().as_secs_f64() * 1e3,
+        db.build_distance_calls()
+    );
+    db
+}
+
+fn open_live<E: Paired>(path: &str) -> LiveDatabase<E, E::Distance> {
+    LiveDatabase::open(path, E::distance()).unwrap_or_else(|e| fail(e))
 }
 
 // -- build ------------------------------------------------------------------
@@ -164,7 +301,7 @@ fn parse_backend(text: &str) -> IndexBackend {
     }
 }
 
-fn cmd_build(args: &[String]) {
+fn cmd_build(mut args: Args) {
     let mut opts = BuildOptions {
         dataset: "proteins".to_string(),
         windows: 400,
@@ -175,24 +312,18 @@ fn cmd_build(args: &[String]) {
         threads: 1,
         out: "db.ssr".to_string(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--dataset" => opts.dataset = value(&mut i),
-            "--windows" => opts.windows = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--lambda" => opts.lambda = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--max-shift" => opts.max_shift = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--backend" => opts.backend = parse_backend(&value(&mut i)),
-            "--threads" => opts.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--out" => opts.out = value(&mut i),
+    while let Some(flag) = args.next() {
+        match flag {
+            "--dataset" => opts.dataset = args.value(),
+            "--windows" => opts.windows = args.value(),
+            "--seed" => opts.seed = args.value(),
+            "--lambda" => opts.lambda = args.value(),
+            "--max-shift" => opts.max_shift = args.value(),
+            "--backend" => opts.backend = parse_backend(&args.value::<String>()),
+            "--threads" => opts.threads = args.value(),
+            "--out" => opts.out = args.value(),
             _ => usage(),
         }
-        i += 1;
     }
     let window_len = (opts.lambda / 2).max(1);
     match opts.dataset.as_str() {
@@ -206,33 +337,26 @@ fn cmd_build(args: &[String]) {
                 seed: opts.seed,
                 ..Default::default()
             };
-            build_and_save(generate_dna(&config), Levenshtein::new(), &opts);
+            build(generate_dna(&config), &opts);
         }
         "proteins" => {
             let config = ProteinConfig::sized_for_windows(opts.windows, window_len, opts.seed);
-            build_and_save(generate_proteins(&config), Levenshtein::new(), &opts);
+            build(generate_proteins(&config), &opts);
         }
         "songs" => {
             let config = SongsConfig::sized_for_windows(opts.windows, window_len, opts.seed);
-            build_and_save(generate_songs(&config), Erp::new(), &opts);
+            build(generate_songs(&config), &opts);
         }
         "traj" => {
             let config = TrajConfig::sized_for_windows(opts.windows, window_len, opts.seed);
-            build_and_save(
-                generate_trajectories(&config),
-                DiscreteFrechet::new(),
-                &opts,
-            );
+            build(generate_trajectories(&config), &opts);
         }
         _ => usage(),
     }
 }
 
-fn build_and_save<E, D>(dataset: SequenceDataset<E>, distance: D, opts: &BuildOptions)
-where
-    E: Element + StorableElement + Send + Sync,
-    D: SequenceDistance<E>,
-{
+fn build<E: Paired>(dataset: SequenceDataset<E>, opts: &BuildOptions) {
+    let distance = E::distance();
     let distance_name = distance.name();
     let config = FrameworkConfig::new(opts.lambda).with_max_shift(opts.max_shift);
     let config = config.with_backend(opts.backend);
@@ -266,12 +390,17 @@ where
 #[derive(Default)]
 struct WalState {
     present: bool,
-    readable: bool,
+    /// Why the log could not be read, when it could not.
+    unreadable: Option<String>,
     records: usize,
     appends: usize,
     removes: usize,
+    /// Why the records could not be counted by kind, when they could not.
+    unclassifiable: Option<String>,
     bytes: u64,
     torn_bytes: u64,
+    /// The log binds to a different snapshot — the leftover of an
+    /// interrupted compaction, discarded on the next open.
     stale: bool,
 }
 
@@ -286,15 +415,20 @@ fn wal_state(path: &str) -> WalState {
     };
     let read = match ssr_storage::read_wal_file(&wal_path) {
         Ok(read) => read,
-        Err(_) => return state,
+        Err(e) => {
+            state.unreadable = Some(e.to_string());
+            return state;
+        }
     };
-    state.readable = true;
     state.records = read.records.len();
     state.bytes = read.valid_len as u64;
     state.torn_bytes = read.dropped_bytes as u64;
-    if let Ok((appends, removes)) = count_op_kinds(&read.records) {
-        state.appends = appends;
-        state.removes = removes;
+    match count_op_kinds(&read.records) {
+        Ok((appends, removes)) => {
+            state.appends = appends;
+            state.removes = removes;
+        }
+        Err(e) => state.unclassifiable = Some(e.to_string()),
     }
     state.stale = match std::fs::read(path) {
         Ok(bytes) => read.binding != Some(WalBinding::of(&bytes)),
@@ -303,17 +437,51 @@ fn wal_state(path: &str) -> WalState {
     state
 }
 
-fn cmd_info(args: &[String]) {
-    let (path, json) = match args {
-        [path] => (path, false),
-        [path, flag] if flag == "--json" => (path, true),
-        [flag, path] if flag == "--json" => (path, true),
-        _ => usage(),
-    };
+/// What loading the typed database adds to the manifest: the index's exact
+/// serialized structural footprint and the resident memory layout — the
+/// shared element arena, the window views and the index's per-item handles.
+struct Footprint {
+    index: ssr_index::SpaceStats,
+    /// Resident bytes of the window view table (provenance words, no
+    /// elements — those are the arena's).
+    view_bytes: usize,
+    /// Total resident window/index bytes — the framework's own definition,
+    /// so this always agrees with the CI-gated `bytes_per_window`.
+    resident_bytes: usize,
+}
+
+fn footprint<E: Paired>(path: &str, manifest: &SnapshotManifest) -> Footprint {
+    let db = load::<E>(path, manifest);
+    Footprint {
+        index: db.index_space_stats(),
+        view_bytes: db.windows().view_bytes(),
+        resident_bytes: db.resident_window_bytes(),
+    }
+}
+
+fn cmd_info(mut args: Args) {
+    let mut path = None;
+    let mut json = false;
+    while let Some(arg) = args.next() {
+        match arg {
+            "--json" => json = true,
+            _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
+            _ => usage(),
+        }
+    }
+    let Some(path) = path else { usage() };
     let snapshot = Snapshot::open(path).unwrap_or_else(|e| fail(e));
     let manifest = SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e));
+    let wal = wal_state(path);
+    let loaded = by_element!(manifest, footprint(path, &manifest));
+    if loaded.is_none() {
+        eprintln!(
+            "note: no typed loader for element '{}'; manifest only",
+            manifest.element
+        );
+    }
     if json {
-        print_info_json(path, &snapshot, &manifest);
+        print_info_json(path, &snapshot, &manifest, &wal, loaded.as_ref());
         return;
     }
     println!("snapshot      {path}");
@@ -343,43 +511,42 @@ fn cmd_info(args: &[String]) {
             entry.name, entry.len, entry.crc
         );
     }
-    print_wal_state(path);
-    // Loading the typed database additionally surfaces the index's exact
-    // serialized structural footprint (SpaceStats::serialized_bytes) and the
-    // resident memory layout: the shared element arena, the window views and
-    // the index's per-item id handles.
-    with_database(path, &manifest, |db| {
-        let stats = db.index_space_stats();
-        println!(
-            "index         items={} entries={} levels={} avg_parents={:.2} \
-             serialized_bytes={} estimated_bytes={}",
-            stats.items,
-            stats.entries,
-            stats.levels,
-            stats.avg_parents,
-            stats.serialized_bytes,
-            stats.estimated_bytes
-        );
-        let resident = db.resident_window_bytes();
-        println!(
-            "memory        arena_bytes={} view_bytes={} item_bytes={} \
-             resident_window_bytes={} bytes_per_window={:.1}",
-            stats.arena_bytes,
-            db.window_view_bytes(),
-            stats.item_bytes,
-            resident,
-            resident as f64 / stats.items.max(1) as f64
-        );
-    });
+    print_wal_state(path, &wal);
+    let Some(loaded) = loaded else { return };
+    let stats = &loaded.index;
+    println!(
+        "index         items={} entries={} levels={} avg_parents={:.2} \
+         serialized_bytes={} estimated_bytes={}",
+        stats.items,
+        stats.entries,
+        stats.levels,
+        stats.avg_parents,
+        stats.serialized_bytes,
+        stats.estimated_bytes
+    );
+    println!(
+        "memory        arena_bytes={} view_bytes={} item_bytes={} \
+         resident_window_bytes={} bytes_per_window={:.1}",
+        stats.arena_bytes,
+        loaded.view_bytes,
+        stats.item_bytes,
+        loaded.resident_bytes,
+        loaded.resident_bytes as f64 / stats.items.max(1) as f64
+    );
 }
 
 /// `info --json`: the manifest, sections, WAL state and (when a typed loader
 /// exists) the index/memory footprint as one machine-readable object —
 /// scripts and the CI serve-smoke job consume this instead of scraping the
 /// human rendering.
-fn print_info_json(path: &str, snapshot: &Snapshot, manifest: &SnapshotManifest) {
+fn print_info_json(
+    path: &str,
+    snapshot: &Snapshot,
+    manifest: &SnapshotManifest,
+    wal: &WalState,
+    loaded: Option<&Footprint>,
+) {
     let num = |v: f64| JsonValue::Number(v);
-    let wal = wal_state(path);
     let mut members: Vec<(String, JsonValue)> = vec![
         ("path".to_string(), JsonValue::String(path.to_string())),
         (
@@ -446,19 +613,21 @@ fn print_info_json(path: &str, snapshot: &Snapshot, manifest: &SnapshotManifest)
             "wal".to_string(),
             JsonValue::object(vec![
                 ("present", JsonValue::Bool(wal.present)),
-                ("readable", JsonValue::Bool(wal.readable)),
+                (
+                    "readable",
+                    JsonValue::Bool(wal.present && wal.unreadable.is_none()),
+                ),
                 ("pending_records", num(wal.records as f64)),
                 ("appends", num(wal.appends as f64)),
                 ("removes", num(wal.removes as f64)),
                 ("bytes", num(wal.bytes as f64)),
                 ("torn_bytes", num(wal.torn_bytes as f64)),
-                ("stale", JsonValue::Bool(wal.present && wal.stale)),
+                ("stale", JsonValue::Bool(wal.stale)),
             ]),
         ),
     ];
-    with_database(path, manifest, |db| {
-        let stats = db.index_space_stats();
-        let resident = db.resident_window_bytes();
+    if let Some(loaded) = loaded {
+        let stats = &loaded.index;
         members.push((
             "index".to_string(),
             JsonValue::object(vec![
@@ -469,156 +638,78 @@ fn print_info_json(path: &str, snapshot: &Snapshot, manifest: &SnapshotManifest)
                 ("estimated_bytes", num(stats.estimated_bytes as f64)),
             ]),
         ));
+        let per_window = loaded.resident_bytes as f64 / stats.items.max(1) as f64;
         members.push((
             "memory".to_string(),
             JsonValue::object(vec![
                 ("arena_bytes", num(stats.arena_bytes as f64)),
-                ("view_bytes", num(db.window_view_bytes() as f64)),
+                ("view_bytes", num(loaded.view_bytes as f64)),
                 ("item_bytes", num(stats.item_bytes as f64)),
-                ("resident_window_bytes", num(resident as f64)),
-                (
-                    "bytes_per_window",
-                    num((resident as f64 / stats.items.max(1) as f64 * 10.0).round() / 10.0),
-                ),
+                ("resident_window_bytes", num(loaded.resident_bytes as f64)),
+                ("bytes_per_window", num((per_window * 10.0).round() / 10.0)),
             ]),
         ));
-    });
+    }
     println!("{}", JsonValue::Object(members).render());
 }
 
-/// Prints the state of the snapshot's WAL sibling: record counts by kind,
-/// bytes, and whether the log actually binds to this snapshot (a stale
-/// binding is the leftover of an interrupted compaction and will be
-/// discarded on the next open).
-fn print_wal_state(path: &str) {
-    let wal_path = wal_path_for(path);
-    if !wal_path.exists() {
+/// The human rendering of the WAL sibling's state: record counts by kind,
+/// bytes, and whether the log actually binds to this snapshot.
+fn print_wal_state(path: &str, wal: &WalState) {
+    if !wal.present {
         println!("wal           none");
         return;
     }
-    let read = match ssr_storage::read_wal_file(&wal_path) {
-        Ok(read) => read,
-        Err(e) => {
-            println!("wal           {} (unreadable: {e})", wal_path.display());
-            return;
-        }
+    if let Some(e) = &wal.unreadable {
+        println!(
+            "wal           {} (unreadable: {e})",
+            wal_path_for(path).display()
+        );
+        return;
+    }
+    let kinds = match &wal.unclassifiable {
+        None => format!("{} appends, {} removes", wal.appends, wal.removes),
+        Some(e) => format!("unclassifiable ops: {e}"),
     };
-    let kinds = match count_op_kinds(&read.records) {
-        Ok((appends, removes)) => format!("{appends} appends, {removes} removes"),
-        Err(e) => format!("unclassifiable ops: {e}"),
+    let binding = if wal.stale {
+        " [stale: bound to a different snapshot; discarded on open]"
+    } else {
+        ""
     };
-    let binding = match std::fs::read(path) {
-        Ok(bytes) if read.binding == Some(WalBinding::of(&bytes)) => "",
-        _ => " [stale: bound to a different snapshot; discarded on open]",
-    };
-    let torn = if read.dropped_bytes > 0 {
-        format!(" + {} bytes torn tail", read.dropped_bytes)
+    let torn = if wal.torn_bytes > 0 {
+        format!(" + {} bytes torn tail", wal.torn_bytes)
     } else {
         String::new()
     };
     println!(
         "wal           {} pending records ({kinds}), {} bytes{torn}{binding}",
-        read.records.len(),
-        read.valid_len
+        wal.records, wal.bytes
     );
 }
 
 // -- append / remove / compact ----------------------------------------------
 
-/// The slice of live-database behaviour the mutation subcommands need,
-/// object-safe so `remove` and `compact` can erase the element and distance
-/// types behind the manifest dispatch.
-trait LiveOps {
-    fn remove(&mut self, sequence: usize) -> Result<bool, StorageError>;
-    fn compact(&mut self) -> Result<(), StorageError>;
-    fn live_sequences(&self) -> usize;
-    fn pending_ops(&self) -> usize;
-    fn wal_len_bytes(&self) -> u64;
-}
-
-impl<E, D> LiveOps for LiveDatabase<E, D>
-where
-    E: Element + StorableElement + Send + Sync,
-    D: SequenceDistance<E>,
-{
-    fn remove(&mut self, sequence: usize) -> Result<bool, StorageError> {
-        self.remove_sequence(ssr_sequence::SequenceId(sequence))
-    }
-
-    fn compact(&mut self) -> Result<(), StorageError> {
-        LiveDatabase::compact(self)
-    }
-
-    fn live_sequences(&self) -> usize {
-        self.database().live_sequence_count()
-    }
-
-    fn pending_ops(&self) -> usize {
-        LiveDatabase::pending_ops(self)
-    }
-
-    fn wal_len_bytes(&self) -> u64 {
-        LiveDatabase::wal_len_bytes(self)
-    }
-}
-
-/// Opens the snapshot + WAL pair behind `path` with the element/distance
-/// pairing the manifest records, then runs `f` on the type-erased handle.
-fn with_live(path: &str, f: impl FnOnce(&mut dyn LiveOps)) {
-    let snapshot = Snapshot::open(path).unwrap_or_else(|e| fail(e));
-    let manifest = SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e));
-    match manifest.element.as_str() {
-        "symbol" => {
-            let mut live = LiveDatabase::<Symbol, _>::open(path, Levenshtein::new())
-                .unwrap_or_else(|e| fail(e));
-            f(&mut live);
-        }
-        "pitch" => {
-            let mut live =
-                LiveDatabase::<Pitch, _>::open(path, Erp::new()).unwrap_or_else(|e| fail(e));
-            f(&mut live);
-        }
-        "point2d" => {
-            let mut live = LiveDatabase::<Point2D, _>::open(path, DiscreteFrechet::new())
-                .unwrap_or_else(|e| fail(e));
-            f(&mut live);
-        }
-        other => fail(format!("no mutation support for element type '{other}'")),
-    }
-}
-
-fn cmd_append(args: &[String]) {
-    if args.is_empty() {
-        usage();
-    }
-    let path = args[0].clone();
+fn cmd_append(mut args: Args) {
+    let path: String = args.value();
     let mut text: Option<String> = None;
     let mut label: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--text" => text = Some(value(&mut i)),
-            "--label" => label = Some(value(&mut i)),
+    while let Some(flag) = args.next() {
+        match flag {
+            "--text" => text = Some(args.value()),
+            "--label" => label = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     let Some(text) = text else { usage() };
-    let snapshot = Snapshot::open(&path).unwrap_or_else(|e| fail(e));
-    let manifest = SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e));
+    let manifest = read_manifest(&path);
     if manifest.element != Symbol::TAG {
         fail(format!(
             "append takes --text and therefore only supports symbol snapshots, not '{}'",
             manifest.element
         ));
     }
-    let mut live =
-        LiveDatabase::<Symbol, _>::open(&path, Levenshtein::new()).unwrap_or_else(|e| fail(e));
-    let mut sequence = Sequence::new(text.chars().map(Symbol::from_char).collect::<Vec<_>>());
+    let mut live = open_live::<Symbol>(&path);
+    let mut sequence = Sequence::new(symbols(&text));
     if let Some(label) = label {
         sequence.set_label(label);
     }
@@ -632,137 +723,84 @@ fn cmd_append(args: &[String]) {
     );
 }
 
-fn cmd_remove(args: &[String]) {
-    if args.is_empty() {
-        usage();
-    }
-    let path = args[0].clone();
+fn cmd_remove(mut args: Args) {
+    let path: String = args.value();
     let mut sequence: Option<usize> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--sequence" => sequence = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
+    while let Some(flag) = args.next() {
+        match flag {
+            "--sequence" => sequence = Some(args.value()),
             _ => usage(),
         }
-        i += 1;
     }
     let Some(sequence) = sequence else { usage() };
-    with_live(&path, |live| match live.remove(sequence) {
+    let manifest = read_manifest(&path);
+    by_element!(manifest, remove(&path, sequence)).unwrap_or_else(|| untyped(&manifest));
+}
+
+fn remove<E: Paired>(path: &str, sequence: usize) {
+    let mut live = open_live::<E>(path);
+    match live.remove_sequence(SequenceId(sequence)) {
         Ok(true) => println!(
             "removed sequence {sequence}; {} live sequences remain, wal {} pending ops ({} bytes)",
-            live.live_sequences(),
+            live.database().live_sequence_count(),
             live.pending_ops(),
             live.wal_len_bytes()
         ),
         Ok(false) => fail(format!("sequence {sequence} is unknown or already removed")),
         Err(e) => fail(e),
-    });
+    }
 }
 
-fn cmd_compact(args: &[String]) {
-    let [path] = args else { usage() };
-    with_live(path, |live| {
-        let pending = live.pending_ops();
-        live.compact().unwrap_or_else(|e| fail(e));
-        let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "folded {pending} pending ops into {path} ({file_bytes} bytes); wal reset to {} bytes",
-            live.wal_len_bytes()
-        );
-    });
+fn cmd_compact(mut args: Args) {
+    let path: String = args.value();
+    args.done();
+    let manifest = read_manifest(&path);
+    by_element!(manifest, compact(&path)).unwrap_or_else(|| untyped(&manifest));
+}
+
+fn compact<E: Paired>(path: &str) {
+    let mut live = open_live::<E>(path);
+    let pending = live.pending_ops();
+    live.compact().unwrap_or_else(|e| fail(e));
+    let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    println!(
+        "folded {pending} pending ops into {path} ({file_bytes} bytes); wal reset to {} bytes",
+        live.wal_len_bytes()
+    );
 }
 
 // -- serve ------------------------------------------------------------------
 
-struct ServeOptions {
-    addr: String,
-    workers: usize,
-    replicas: usize,
-    queue_depth: usize,
-    cache_shards: usize,
-    cache_capacity: usize,
-    slow_query_ms: Option<u64>,
-}
-
-fn cmd_serve(args: &[String]) {
-    let Some(path) = args.first().cloned() else {
-        usage()
-    };
-    let mut opts = ServeOptions {
-        addr: "127.0.0.1:7878".to_string(),
-        workers: 0,
-        replicas: 1,
-        queue_depth: 64,
-        cache_shards: 16,
-        cache_capacity: 256,
-        slow_query_ms: None,
-    };
-    let mut i = 1;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--addr" => opts.addr = value(&mut i),
-            "--workers" => opts.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--replicas" => opts.replicas = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--queue-depth" => opts.queue_depth = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--cache-shards" => {
-                opts.cache_shards = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--cache-capacity" => {
-                opts.cache_capacity = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--slow-query-ms" => {
-                opts.slow_query_ms = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
+fn cmd_serve(mut args: Args) {
+    let path: String = args.value();
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut config = ServeConfig::default();
+    while let Some(flag) = args.next() {
+        match flag {
+            "--addr" => addr = args.value(),
+            "--workers" => config.workers = args.value(),
+            "--replicas" => config.replicas = args.value(),
+            "--queue-depth" => config.queue_depth = args.value(),
+            "--cache-shards" => config.cache_shards = args.value(),
+            "--cache-capacity" => config.cache_shard_capacity = args.value(),
+            "--slow-query-ms" => config.slow_query_ms = Some(args.value()),
             "--failpoint" => {
-                let spec = value(&mut i);
+                let spec: String = args.value();
                 let armed = ssr_fault::configure_str(&spec)
                     .unwrap_or_else(|e| fail(format!("--failpoint {spec}: {e}")));
                 eprintln!("# armed {armed} failpoint(s): {spec}");
             }
             _ => usage(),
         }
-        i += 1;
     }
-    let snapshot = Snapshot::open(&path).unwrap_or_else(|e| fail(e));
-    let manifest = SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e));
-    drop(snapshot);
-    match manifest.element.as_str() {
-        "symbol" => serve_db(
-            load::<Symbol, _>(&path, Levenshtein::new(), &manifest),
-            &opts,
-        ),
-        "pitch" => serve_db(load::<Pitch, _>(&path, Erp::new(), &manifest), &opts),
-        "point2d" => serve_db(
-            load::<Point2D, _>(&path, DiscreteFrechet::new(), &manifest),
-            &opts,
-        ),
-        other => fail(format!("no typed loader for element '{other}'")),
-    }
+    let manifest = read_manifest(&path);
+    by_element!(manifest, serve(&path, &manifest, &addr, config.clone()))
+        .unwrap_or_else(|| untyped(&manifest));
 }
 
-fn serve_db<E, D>(db: SubsequenceDatabase<E, D>, opts: &ServeOptions)
-where
-    E: Element + StorableElement + Send + Sync + 'static,
-    D: SequenceDistance<E> + Send + Sync + 'static,
-{
-    let config = ServeConfig {
-        workers: opts.workers,
-        replicas: opts.replicas,
-        queue_depth: opts.queue_depth,
-        cache_shards: opts.cache_shards,
-        cache_shard_capacity: opts.cache_capacity,
-        slow_query_ms: opts.slow_query_ms,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(db, opts.addr.as_str(), config).unwrap_or_else(|e| fail(e));
+fn serve<E: Paired>(path: &str, manifest: &SnapshotManifest, addr: &str, config: ServeConfig) {
+    let db = load::<E>(path, manifest);
+    let server = Server::bind(db, addr, config).unwrap_or_else(|e| fail(e));
     let stats = server.stats();
     println!(
         "serving {} sequences / {} windows on {} ({} workers, {} replicas)",
@@ -790,27 +828,30 @@ const REQUIRED_FAMILIES: [&str; 7] = [
     "ssr_wal_pending_ops",
 ];
 
-fn cmd_stats(args: &[String]) {
-    let mut addr: Option<String> = None;
+/// A client for control frames (`Metrics`, `Stats`, `Shutdown`), which carry
+/// no element payload: the element type parameter is immaterial and Symbol
+/// stands in.
+fn control_client(addr: &str) -> WireClient<Symbol> {
+    WireClient::connect(addr).unwrap_or_else(|e| fail(format!("connecting to {addr}: {e}")))
+}
+
+fn cmd_stats(mut args: Args) {
+    let mut addr: Option<&str> = None;
     let mut check = false;
     let mut json = false;
-    for arg in args {
-        match arg.as_str() {
+    while let Some(arg) = args.next() {
+        match arg {
             "--check" => check = true,
             "--json" => json = true,
-            other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
+            _ if addr.is_none() && !arg.starts_with("--") => addr = Some(arg),
             _ => usage(),
         }
     }
     let Some(addr) = addr else { usage() };
-    // Stats and Metrics carry no element payload, so the client's element
-    // type parameter is immaterial; Symbol stands in.
-    let mut client =
-        ssr_bench::connect_with_retry::<Symbol>(&addr, std::time::Duration::from_secs(10))
-            .unwrap_or_else(|e| fail(format!("connecting to {addr}: {e}")));
+    let mut client = control_client(addr);
     if check || !json {
-        let text = match client.request(&ssr_core::Request::Metrics) {
-            Ok(ssr_core::Response::Metrics(text)) => text,
+        let text = match client.request(&Request::Metrics) {
+            Ok(Response::Metrics(text)) => text,
             Ok(other) => fail(format!("metrics answered with {other:?}")),
             Err(e) => fail(format!("scraping {addr}: {e}")),
         };
@@ -840,8 +881,8 @@ fn cmd_stats(args: &[String]) {
             return;
         }
     }
-    let stats = match client.request(&ssr_core::Request::Stats) {
-        Ok(ssr_core::Response::Stats(stats)) => stats,
+    let stats = match client.request(&Request::Stats) {
+        Ok(Response::Stats(stats)) => stats,
         Ok(other) => fail(format!("stats answered with {other:?}")),
         Err(e) => fail(format!("fetching stats from {addr}: {e}")),
     };
@@ -849,7 +890,7 @@ fn cmd_stats(args: &[String]) {
     println!(
         "{}",
         JsonValue::object(vec![
-            ("addr", JsonValue::String(addr)),
+            ("addr", JsonValue::String(addr.to_string())),
             ("uptime_ms", num(stats.uptime_ms as f64)),
             ("sequences", num(stats.sequences as f64)),
             ("windows", num(stats.windows as f64)),
@@ -872,30 +913,31 @@ fn cmd_stats(args: &[String]) {
 
 // -- drain ------------------------------------------------------------------
 
-fn cmd_drain(args: &[String]) {
-    let Some(addr) = args.first() else { usage() };
-    if args.len() > 1 {
-        usage()
+/// Waits for the listener at `addr` to go away — the observable outcome of a
+/// drain, whose ack is written before the drain flag flips. `false` when it
+/// is still there at `deadline`.
+fn stops_listening(addr: &str, deadline: Instant) -> bool {
+    while std::net::TcpStream::connect(addr).is_ok() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
+    true
+}
+
+fn cmd_drain(mut args: Args) {
+    let addr: String = args.value();
+    args.done();
     // Shutdown is deliberately non-idempotent in the client: one attempt,
-    // no retries, a typed refusal on any ambiguous failure. The element
-    // type parameter is immaterial for a control frame; Symbol stands in.
-    let mut client = ssr_core::WireClient::<Symbol>::connect(addr)
-        .unwrap_or_else(|e| fail(format!("connecting to {addr}: {e}")));
-    match client.request(&ssr_core::Request::Shutdown) {
-        Ok(ssr_core::Response::ShuttingDown) => {}
+    // no retries, a typed refusal on any ambiguous failure.
+    match control_client(&addr).request(&Request::Shutdown) {
+        Ok(Response::ShuttingDown) => {}
         Ok(other) => fail(format!("drain answered with {other:?}")),
         Err(e) => fail(format!("draining {addr}: {e}")),
     }
-    // The ack races the drain flag by design (it is written first), so wait
-    // for the observable outcome: the listener going away once in-flight
-    // work finishes and the worker pool empties.
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    while ssr_bench::is_listening(addr) {
-        if Instant::now() >= deadline {
-            fail(format!("{addr} still listening 30s after the drain ack"));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    if !stops_listening(&addr, Instant::now() + Duration::from_secs(30)) {
+        fail(format!("{addr} still listening 30s after the drain ack"));
     }
     println!("drained: {addr} acknowledged shutdown and stopped listening");
 }
@@ -906,30 +948,20 @@ fn cmd_drain(args: &[String]) {
 /// one-shots: health probing on, modest timeouts, the cluster's failover as
 /// the only retry.
 fn cluster_client(addrs: &str, hedge_ms: Option<u64>) -> ssr_cluster::ClusterClient<Symbol> {
-    let addrs: Vec<String> = addrs
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(String::from)
-        .collect();
-    if addrs.len() < 2 {
-        fail("cluster takes at least two comma-separated node addresses");
-    }
+    let addrs = addrs.split(',').map(str::trim).filter(|a| !a.is_empty());
     let config = ssr_cluster::ClusterConfig {
-        hedge_after: hedge_ms.map(std::time::Duration::from_millis),
+        hedge_after: hedge_ms.map(Duration::from_millis),
         ..ssr_cluster::ClusterConfig::default()
     };
     ssr_cluster::ClusterClient::new(addrs, config).unwrap_or_else(|e| fail(e))
 }
 
-fn cmd_cluster(args: &[String]) {
-    let (Some(addrs), Some(verb)) = (args.first(), args.get(1)) else {
-        usage()
-    };
-    match verb.as_str() {
-        "query" => cluster_query(addrs, &args[2..]),
-        "stats" => cluster_stats(addrs),
-        "drain" => cluster_drain(addrs),
+fn cmd_cluster(mut args: Args) {
+    let addrs: String = args.value();
+    match args.next() {
+        Some("query") => cluster_query(&addrs, args),
+        Some("stats") => cluster_stats(&addrs),
+        Some("drain") => cluster_drain(&addrs),
         _ => usage(),
     }
 }
@@ -937,62 +969,22 @@ fn cmd_cluster(args: &[String]) {
 /// `cluster ... query`: one Type I/II/III query through the fault-tolerant
 /// client — whichever healthy node answers, plus the failover/hedge spend.
 /// `--text` only (and therefore symbol snapshots only), like `append`.
-fn cluster_query(addrs: &str, args: &[String]) {
-    let mut opts = QueryOptions {
-        query_type: 2,
-        epsilon: 8.0,
-        epsilon_max: 16.0,
-        epsilon_increment: 1.0,
-        plant: None,
-        text: None,
+fn cluster_query(addrs: &str, args: Args) {
+    let opts = QueryOptions::parse(args);
+    let (Some(text), None) = (&opts.text, opts.plant) else {
+        usage()
     };
-    let mut hedge_ms = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--type" => opts.query_type = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon" => opts.epsilon = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon-max" => opts.epsilon_max = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon-increment" => {
-                opts.epsilon_increment = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--text" => opts.text = Some(value(&mut i)),
-            "--hedge-ms" => hedge_ms = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(text) = &opts.text else { usage() };
-    if !(1..=3).contains(&opts.query_type) {
-        usage();
-    }
-    let spec = match opts.query_type {
-        1 => ssr_core::QuerySpec::Type1 {
-            epsilon: opts.epsilon,
-        },
-        2 => ssr_core::QuerySpec::Type2 {
-            epsilon: opts.epsilon,
-        },
-        _ => ssr_core::QuerySpec::Type3 {
-            epsilon_max: opts.epsilon_max,
-            epsilon_increment: opts.epsilon_increment,
-        },
+    let request = Request::Query {
+        spec: opts.spec,
+        queries: vec![symbols(text)],
     };
-    let request = ssr_core::Request::Query {
-        spec,
-        queries: vec![text.chars().map(Symbol::from_char).collect::<Vec<_>>()],
-    };
-    let cluster = cluster_client(addrs, hedge_ms);
+    let cluster = cluster_client(addrs, opts.hedge_ms);
     let started = Instant::now();
     let response = cluster.request(&request).unwrap_or_else(|e| fail(e));
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let counters = cluster.counters();
     match response {
-        ssr_core::Response::Outcomes(outcomes) => {
+        Response::Outcomes(outcomes) => {
             for outcome in &outcomes {
                 println!(
                     "{} match(es){}:",
@@ -1009,7 +1001,7 @@ fn cluster_query(addrs: &str, args: &[String]) {
                 counters.failovers, counters.hedges, counters.hedge_wins, counters.breaker_trips
             );
         }
-        ssr_core::Response::Error(e) => fail(format!("the cluster answered with: {e}")),
+        Response::Error(e) => fail(format!("the cluster answered with: {e}")),
         other => fail(format!("unexpected response: {other:?}")),
     }
 }
@@ -1021,9 +1013,9 @@ fn cluster_query(addrs: &str, args: &[String]) {
 fn cluster_stats(addrs: &str) {
     let cluster = cluster_client(addrs, None);
     let mut answered = 0usize;
-    for (addr, outcome) in cluster.for_each_node(&ssr_core::Request::Stats) {
+    for (addr, outcome) in cluster.for_each_node(&Request::Stats) {
         match outcome {
-            Ok(ssr_core::Response::Stats(stats)) => {
+            Ok(Response::Stats(stats)) => {
                 answered += 1;
                 let num = |v: f64| JsonValue::Number(v);
                 println!(
@@ -1057,9 +1049,9 @@ fn cluster_drain(addrs: &str) {
     let cluster = cluster_client(addrs, None);
     let mut failures = 0usize;
     let mut acked = Vec::new();
-    for (addr, outcome) in cluster.for_each_node(&ssr_core::Request::Shutdown) {
+    for (addr, outcome) in cluster.for_each_node(&Request::Shutdown) {
         match outcome {
-            Ok(ssr_core::Response::ShuttingDown) => {
+            Ok(Response::ShuttingDown) => {
                 println!("{addr}: acknowledged shutdown");
                 acked.push(addr);
             }
@@ -1073,15 +1065,11 @@ fn cluster_drain(addrs: &str) {
             }
         }
     }
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
+    let deadline = Instant::now() + Duration::from_secs(30);
     for addr in &acked {
-        while ssr_bench::is_listening(addr) {
-            if Instant::now() >= deadline {
-                eprintln!("# {addr}: still listening 30s after the drain ack");
-                failures += 1;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
+        if !stops_listening(addr, deadline) {
+            eprintln!("# {addr}: still listening 30s after the drain ack");
+            failures += 1;
         }
     }
     if failures > 0 {
@@ -1092,181 +1080,85 @@ fn cluster_drain(addrs: &str) {
 
 // -- query ------------------------------------------------------------------
 
-#[derive(Clone, Default)]
+/// What `query` and `cluster … query` take: the two share every flag but the
+/// query's source (`--plant` needs the database at hand) and `--hedge-ms`.
 struct QueryOptions {
-    query_type: u8,
-    epsilon: f64,
-    epsilon_max: f64,
-    epsilon_increment: f64,
+    spec: QuerySpec,
     plant: Option<u64>,
     text: Option<String>,
+    hedge_ms: Option<u64>,
 }
 
-fn cmd_query(args: &[String]) {
-    if args.is_empty() {
-        usage();
-    }
-    let path = args[0].clone();
-    let mut opts = QueryOptions {
-        query_type: 2,
-        epsilon: 8.0,
-        epsilon_max: 16.0,
-        epsilon_increment: 1.0,
-        plant: None,
-        text: None,
-    };
-    let mut i = 1;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
-            "--type" => opts.query_type = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon" => opts.epsilon = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon-max" => opts.epsilon_max = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--epsilon-increment" => {
-                opts.epsilon_increment = value(&mut i).parse().unwrap_or_else(|_| usage())
+impl QueryOptions {
+    fn parse(mut args: Args) -> QueryOptions {
+        let mut query_type = 2u8;
+        let mut epsilon = 8.0;
+        let mut epsilon_max = 16.0;
+        let mut epsilon_increment = 1.0;
+        let mut plant = None;
+        let mut text = None;
+        let mut hedge_ms = None;
+        while let Some(flag) = args.next() {
+            match flag {
+                "--type" => query_type = args.value(),
+                "--epsilon" => epsilon = args.value(),
+                "--epsilon-max" => epsilon_max = args.value(),
+                "--epsilon-increment" => epsilon_increment = args.value(),
+                "--plant" => plant = Some(args.value()),
+                "--text" => text = Some(args.value()),
+                "--hedge-ms" => hedge_ms = Some(args.value()),
+                _ => usage(),
             }
-            "--plant" => opts.plant = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--text" => opts.text = Some(value(&mut i)),
-            _ => usage(),
         }
-        i += 1;
+        let spec = match query_type {
+            1 => QuerySpec::Type1 { epsilon },
+            2 => QuerySpec::Type2 { epsilon },
+            3 => QuerySpec::Type3 {
+                epsilon_max,
+                epsilon_increment,
+            },
+            _ => usage(),
+        };
+        QueryOptions {
+            spec,
+            plant,
+            text,
+            hedge_ms,
+        }
     }
-    if !(1..=3).contains(&opts.query_type) || (opts.plant.is_none() && opts.text.is_none()) {
+}
+
+fn cmd_query(mut args: Args) {
+    let path: String = args.value();
+    let opts = QueryOptions::parse(args);
+    if opts.hedge_ms.is_some() || (opts.plant.is_none() && opts.text.is_none()) {
         usage();
     }
-    let snapshot = Snapshot::open(&path).unwrap_or_else(|e| fail(e));
-    let manifest = SnapshotManifest::read(&snapshot).unwrap_or_else(|e| fail(e));
-    match manifest.element.as_str() {
-        "symbol" => {
-            let db = load::<Symbol, _>(&path, Levenshtein::new(), &manifest);
-            let query = symbol_query(&db, &opts, &manifest);
-            run_query(&db, query, &opts);
-        }
-        "pitch" => {
-            let db = load::<Pitch, _>(&path, Erp::new(), &manifest);
-            let query = planted_query(&db, PitchMutator, &opts);
-            run_query(&db, query, &opts);
-        }
-        "point2d" => {
-            let db = load::<Point2D, _>(&path, DiscreteFrechet::new(), &manifest);
-            let query = planted_query(&db, PointMutator::default(), &opts);
-            run_query(&db, query, &opts);
-        }
-        other => fail(format!("no query support for element type '{other}'")),
-    }
+    let manifest = read_manifest(&path);
+    by_element!(manifest, query(&path, &manifest, &opts)).unwrap_or_else(|| untyped(&manifest));
 }
 
-/// Runs `f` over the typed database behind the snapshot at `path` (with its
-/// WAL replayed read-only), dispatching on the manifest's element tag. Used
-/// by `info`; `query` needs per-element query construction and dispatches
-/// itself.
-fn with_database(path: &str, manifest: &SnapshotManifest, f: impl FnOnce(&dyn DatabaseStats)) {
-    match manifest.element.as_str() {
-        "symbol" => {
-            f(&load::<Symbol, _>(path, Levenshtein::new(), manifest));
+fn query<E: Paired>(path: &str, manifest: &SnapshotManifest, opts: &QueryOptions) {
+    let db = load::<E>(path, manifest);
+    let query = match opts.text.as_deref().and_then(E::from_text) {
+        Some(elements) => {
+            if elements.len() < manifest.config.lambda {
+                fail(format!(
+                    "--text must be at least lambda = {} characters",
+                    manifest.config.lambda
+                ));
+            }
+            Sequence::new(elements)
         }
-        "pitch" => {
-            f(&load::<Pitch, _>(path, Erp::new(), manifest));
-        }
-        "point2d" => {
-            f(&load::<Point2D, _>(path, DiscreteFrechet::new(), manifest));
-        }
-        other => {
-            eprintln!("note: no typed loader for element '{other}'; manifest only");
-        }
-    }
-}
-
-/// The slice of database behaviour `info` needs, object-safe so dispatch can
-/// erase the element and distance types.
-trait DatabaseStats {
-    fn index_space_stats(&self) -> ssr_index::SpaceStats;
-    /// Resident bytes of the window view table (provenance words, no
-    /// elements — those are the arena's).
-    fn window_view_bytes(&self) -> usize;
-    /// Total resident window/index bytes — the framework's own definition,
-    /// so this always agrees with the CI-gated `bytes_per_window`.
-    fn resident_window_bytes(&self) -> usize;
-}
-
-impl<E, D> DatabaseStats for SubsequenceDatabase<E, D>
-where
-    E: Element + Send + Sync,
-    D: SequenceDistance<E>,
-{
-    fn index_space_stats(&self) -> ssr_index::SpaceStats {
-        SubsequenceDatabase::index_space_stats(self)
-    }
-
-    fn window_view_bytes(&self) -> usize {
-        self.windows().view_bytes()
-    }
-
-    fn resident_window_bytes(&self) -> usize {
-        SubsequenceDatabase::resident_window_bytes(self)
-    }
-}
-
-fn load<E, D>(path: &str, distance: D, manifest: &SnapshotManifest) -> SubsequenceDatabase<E, D>
-where
-    E: Element + StorableElement + Send + Sync,
-    D: SequenceDistance<E>,
-{
-    if manifest.distance != distance.name() {
-        fail(StorageError::DistanceMismatch {
-            expected: distance.name().to_string(),
-            found: manifest.distance.clone(),
-        });
-    }
-    let started = Instant::now();
-    let (db, replayed) =
-        ssr_core::load_with_wal(path, distance).unwrap_or_else(|e: StorageError| fail(e));
-    let replay_note = if replayed > 0 {
-        format!("; replayed {replayed} wal ops")
-    } else {
-        String::new()
+        None => planted_query(&db, opts),
     };
-    eprintln!(
-        "# cold start: loaded {} windows in {:.1} ms (0 distance calls; the original build \
-         spent {}{replay_note})",
-        db.window_count(),
-        started.elapsed().as_secs_f64() * 1e3,
-        db.build_distance_calls()
-    );
-    db
+    run_query(&db, query, opts.spec);
 }
 
-fn symbol_query<D: SequenceDistance<Symbol>>(
-    db: &SubsequenceDatabase<Symbol, D>,
+fn planted_query<E: Paired>(
+    db: &SubsequenceDatabase<E, E::Distance>,
     opts: &QueryOptions,
-    manifest: &SnapshotManifest,
-) -> Sequence<Symbol> {
-    if let Some(text) = &opts.text {
-        let elements: Vec<Symbol> = text.chars().map(Symbol::from_char).collect();
-        if elements.len() < manifest.config.lambda {
-            fail(format!(
-                "--text must be at least lambda = {} characters",
-                manifest.config.lambda
-            ));
-        }
-        return Sequence::new(elements);
-    }
-    planted_query(db, SymbolMutator, opts)
-}
-
-fn planted_query<E, D, M>(
-    db: &SubsequenceDatabase<E, D>,
-    mutator: M,
-    opts: &QueryOptions,
-) -> Sequence<E>
-where
-    E: Element + Send + Sync,
-    D: SequenceDistance<E>,
-    M: QueryMutator<E>,
-{
+) -> Sequence<E> {
     let Some(seed) = opts.plant else {
         fail("this element type only supports --plant SEED queries");
     };
@@ -1276,7 +1168,7 @@ where
         perturbation_rate: 0.05,
         seed,
     };
-    let planted = plant_query(&db.to_dataset(), &mutator, &config)
+    let planted = plant_query(&db.to_dataset(), &E::mutator(), &config)
         .unwrap_or_else(|| fail("database too small to plant a query; use more windows"));
     eprintln!(
         "# planted query from {} range {:?}",
@@ -1285,20 +1177,19 @@ where
     planted.query
 }
 
-fn run_query<E, D>(db: &SubsequenceDatabase<E, D>, query: Sequence<E>, opts: &QueryOptions)
-where
-    E: Element + Send + Sync,
-    D: SequenceDistance<E>,
-{
+fn run_query<E: Paired>(
+    db: &SubsequenceDatabase<E, E::Distance>,
+    query: Sequence<E>,
+    spec: QuerySpec,
+) {
     let started = Instant::now();
-    match opts.query_type {
-        1 => {
-            let outcome = db.query_type1(&query, opts.epsilon);
+    match spec {
+        QuerySpec::Type1 { epsilon } => {
+            let outcome = db.query_type1(&query, epsilon);
             print_stats(&outcome, started);
             println!(
-                "{} matching pairs (epsilon {}):",
-                outcome.result.len(),
-                opts.epsilon
+                "{} matching pairs (epsilon {epsilon}):",
+                outcome.result.len()
             );
             for m in outcome.result.iter().take(10) {
                 print_match(m);
@@ -1307,32 +1198,33 @@ where
                 println!("  … {} more", outcome.result.len() - 10);
             }
         }
-        2 => {
-            let outcome = db.query_type2(&query, opts.epsilon);
+        QuerySpec::Type2 { epsilon } => {
+            let outcome = db.query_type2(&query, epsilon);
             print_stats(&outcome, started);
             match &outcome.result {
                 Some(m) => {
-                    println!("longest similar subsequence (epsilon {}):", opts.epsilon);
+                    println!("longest similar subsequence (epsilon {epsilon}):");
                     print_match(m);
                 }
-                None => println!("no similar subsequence within epsilon {}", opts.epsilon),
+                None => println!("no similar subsequence within epsilon {epsilon}"),
             }
         }
-        3 => {
-            let outcome = db.query_type3(&query, opts.epsilon_max, opts.epsilon_increment);
+        QuerySpec::Type3 {
+            epsilon_max,
+            epsilon_increment,
+        } => {
+            let outcome = db.query_type3(&query, epsilon_max, epsilon_increment);
             print_stats(&outcome, started);
             match &outcome.result {
                 Some(m) => {
                     println!(
-                        "nearest pair (epsilon_max {}, increment {}):",
-                        opts.epsilon_max, opts.epsilon_increment
+                        "nearest pair (epsilon_max {epsilon_max}, increment {epsilon_increment}):"
                     );
                     print_match(m);
                 }
-                None => println!("no pair found up to epsilon_max {}", opts.epsilon_max),
+                None => println!("no pair found up to epsilon_max {epsilon_max}"),
             }
         }
-        _ => usage(),
     }
 }
 

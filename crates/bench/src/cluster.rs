@@ -134,8 +134,8 @@ fn node_name(i: usize) -> String {
     format!("cluster-bench-node-{i}")
 }
 
-/// Deterministic request shapes carved from the served sequences, exactly
-/// like `bench --serve` builds its load.
+/// Deterministic request shapes carved from the served sequences themselves:
+/// guaranteed in-vocabulary, and identical on every machine.
 fn request_shapes(db: &SubsequenceDatabase<Symbol, Levenshtein>) -> Vec<Request<Symbol>> {
     let specs = [
         QuerySpec::Type1 { epsilon: 8.0 },

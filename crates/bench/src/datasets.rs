@@ -5,7 +5,7 @@ use ssr_datagen::{
     generate_proteins, generate_songs, generate_trajectories, ProteinConfig, SongsConfig,
     TrajConfig,
 };
-use ssr_sequence::{partition_windows_dataset, Pitch, Point2D, Symbol};
+use ssr_sequence::{partition_windows_dataset, Element, Pitch, Point2D, SequenceDataset, Symbol};
 
 /// Window length used throughout the evaluation (the paper uses `l = 20` for
 /// all three datasets).
@@ -64,42 +64,34 @@ impl Scale {
     }
 }
 
+/// The first `target` windows of length [`WINDOW_LEN`] of `dataset`.
+fn first_windows<E: Element>(dataset: &SequenceDataset<E>, target: usize) -> Vec<Vec<E>> {
+    let store = partition_windows_dataset(dataset, WINDOW_LEN);
+    store
+        .iter()
+        .take(target)
+        .map(|(id, _)| store.slice(id).expect("store views resolve").to_vec())
+        .collect()
+}
+
 /// Generates approximately `target` PROTEINS windows of length
 /// [`WINDOW_LEN`]. `seed` controls the generator so that query workloads can
 /// be drawn from an independent generation.
 pub fn protein_windows(target: usize, seed: u64) -> Vec<Vec<Symbol>> {
     let config = ProteinConfig::sized_for_windows(target, WINDOW_LEN, seed);
-    let dataset = generate_proteins(&config);
-    let store = partition_windows_dataset(&dataset, WINDOW_LEN);
-    store
-        .iter()
-        .take(target)
-        .map(|(id, _)| store.slice(id).expect("store views resolve").to_vec())
-        .collect()
+    first_windows(&generate_proteins(&config), target)
 }
 
 /// Generates approximately `target` SONGS windows.
 pub fn song_windows(target: usize, seed: u64) -> Vec<Vec<Pitch>> {
     let config = SongsConfig::sized_for_windows(target, WINDOW_LEN, seed);
-    let dataset = generate_songs(&config);
-    let store = partition_windows_dataset(&dataset, WINDOW_LEN);
-    store
-        .iter()
-        .take(target)
-        .map(|(id, _)| store.slice(id).expect("store views resolve").to_vec())
-        .collect()
+    first_windows(&generate_songs(&config), target)
 }
 
 /// Generates approximately `target` TRAJ windows.
 pub fn traj_windows(target: usize, seed: u64) -> Vec<Vec<Point2D>> {
     let config = TrajConfig::sized_for_windows(target, WINDOW_LEN, seed);
-    let dataset = generate_trajectories(&config);
-    let store = partition_windows_dataset(&dataset, WINDOW_LEN);
-    store
-        .iter()
-        .take(target)
-        .map(|(id, _)| store.slice(id).expect("store views resolve").to_vec())
-        .collect()
+    first_windows(&generate_trajectories(&config), target)
 }
 
 #[cfg(test)]

@@ -4,30 +4,22 @@
 //! regenerates every figure of the paper's evaluation (Section 8).
 //!
 //! The binary is driven entirely by synthetic stand-ins for the paper's
-//! PROTEINS / SONGS / TRAJ datasets (see `ssr-datagen` and DESIGN.md for the
-//! substitution rationale); absolute numbers therefore differ from the paper,
-//! but the quantities reported — index node counts, parents per window,
-//! estimated megabytes, and the percentage of distance computations relative
-//! to a naive linear scan — are machine-independent and directly comparable
-//! in *shape*.
+//! PROTEINS / SONGS / TRAJ datasets (generated by `ssr-datagen`); absolute
+//! numbers therefore differ from the paper, but the quantities reported —
+//! index node counts, parents per window, estimated megabytes, and the
+//! percentage of distance computations relative to a naive linear scan — are
+//! machine-independent and directly comparable in *shape*.
 
-pub mod chaos;
 pub mod cluster;
 pub mod datasets;
 pub mod harness;
 pub mod json;
-pub mod loadgen;
 pub mod promcheck;
 pub mod report;
 
-pub use chaos::{run_chaos, ChaosOutcome};
 pub use cluster::{run_cluster_chaos, ClusterChaosOutcome};
 pub use datasets::{protein_windows, song_windows, traj_windows, Scale};
 pub use harness::{
     build_index, distance_histogram, pruning_ratio, IndexChoice, IndexHandle, QuerySet,
-};
-pub use loadgen::{
-    connect_with_retry, is_listening, request_shutdown, run_load, wait_until_ready, LatencySummary,
-    LoadConfig, LoadReport,
 };
 pub use report::{format_row, print_header, print_table, Table};

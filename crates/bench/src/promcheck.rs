@@ -1,6 +1,6 @@
 //! A small validating parser for Prometheus text exposition, used by
-//! `bench --serve` and `ssr stats --check` to gate the telemetry endpoint
-//! in CI without pulling in a real Prometheus client.
+//! `ssr stats --check` to gate the telemetry endpoint in CI without pulling
+//! in a real Prometheus client.
 //!
 //! The checker is deliberately stricter than Prometheus itself where the
 //! strictness catches exporter bugs:
@@ -265,80 +265,6 @@ fn validate_histograms(doc: &Exposition) -> Result<(), PromError> {
     Ok(())
 }
 
-impl Exposition {
-    /// The value of the single series `name` with exactly the given labels
-    /// (order-insensitive), or `None`.
-    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| {
-                s.name == name
-                    && s.labels.len() == labels.len()
-                    && labels.iter().all(|(k, v)| s.label(k) == Some(v))
-            })
-            .map(|s| s.value)
-    }
-
-    /// The value of the unlabeled series `name`.
-    pub fn scalar(&self, name: &str) -> Option<f64> {
-        self.value(name, &[])
-    }
-
-    /// Sums every series of `name`, whatever its labels (for per-shard and
-    /// per-replica counter families).
-    pub fn sum(&self, name: &str) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.value)
-            .sum()
-    }
-
-    /// Reconstructs an [`ssr_obs::HistogramSnapshot`] from the unlabeled
-    /// histogram family `name`, so the scraped distribution answers
-    /// percentile queries with the same code the server used to bin it.
-    /// Returns `None` when the family is absent or an edge is not a power
-    /// of two of the ssr-obs bucketing.
-    pub fn histogram_snapshot(&self, name: &str) -> Option<ssr_obs::HistogramSnapshot> {
-        if self.families.get(name) != Some(&FamilyKind::Histogram) {
-            return None;
-        }
-        let bucket_name = format!("{name}_bucket");
-        let mut counts = vec![0u64; ssr_obs::HISTOGRAM_BUCKETS];
-        let mut prev_cum = 0u64;
-        let mut saw_inf = false;
-        for sample in self.samples.iter().filter(|s| s.name == bucket_name) {
-            let cum = sample.value as u64;
-            let bucket = match sample.label("le")? {
-                "+Inf" => {
-                    saw_inf = true;
-                    // Everything past the last explicit edge lands in the
-                    // top bucket; for ssr-obs expositions the fold target
-                    // is whichever bucket follows the last rendered edge,
-                    // but placing the remainder in the final bucket keeps
-                    // every percentile query conservative.
-                    ssr_obs::HISTOGRAM_BUCKETS - 1
-                }
-                text => {
-                    let le: u64 = text.parse().ok()?;
-                    let bucket = ssr_obs::log2_bucket(le);
-                    if ssr_obs::bucket_upper_edge(bucket) != le {
-                        return None;
-                    }
-                    bucket
-                }
-            };
-            counts[bucket] += cum.saturating_sub(prev_cum);
-            prev_cum = cum;
-        }
-        if !saw_inf {
-            return None;
-        }
-        let sum = self.scalar(&format!("{name}_sum"))? as u64;
-        Some(ssr_obs::HistogramSnapshot { counts, sum })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,14 +279,14 @@ mod tests {
             h.observe(v);
         }
         let doc = parse(&registry.render()).expect("own render must validate");
-        assert_eq!(doc.scalar("ssr_t_total"), Some(3.0));
-        assert_eq!(doc.scalar("ssr_t_depth"), Some(7.0));
-        assert_eq!(doc.scalar("ssr_t_us_count"), Some(4.0));
-        let snapshot = doc.histogram_snapshot("ssr_t_us").expect("histogram");
-        assert_eq!(snapshot.count(), 4);
-        assert_eq!(snapshot.sum, 107);
-        // p50 of [1,3,3,100] is 3 -> bucket 2, lower edge 2.
-        assert_eq!(snapshot.percentile_lower_edge(0.5), Some(2));
+        assert_eq!(doc.families["ssr_t_total"], FamilyKind::Counter);
+        assert_eq!(doc.families["ssr_t_depth"], FamilyKind::Gauge);
+        assert_eq!(doc.families["ssr_t_us"], FamilyKind::Histogram);
+        let value = |name: &str| doc.samples.iter().find(|s| s.name == name).map(|s| s.value);
+        assert_eq!(value("ssr_t_total"), Some(3.0));
+        assert_eq!(value("ssr_t_depth"), Some(7.0));
+        assert_eq!(value("ssr_t_us_count"), Some(4.0));
+        assert_eq!(value("ssr_t_us_sum"), Some(107.0));
     }
 
     #[test]
@@ -400,17 +326,5 @@ ssr_h_count 6
     fn rejects_negative_and_nan_values() {
         assert!(parse("# TYPE ssr_g gauge\nssr_g -1\n").is_err());
         assert!(parse("# TYPE ssr_g gauge\nssr_g NaN\n").is_err());
-    }
-
-    #[test]
-    fn labeled_lookup_and_sum() {
-        let text = "\
-# TYPE ssr_shard_total counter
-ssr_shard_total{shard=\"0\"} 2
-ssr_shard_total{shard=\"1\"} 3
-";
-        let doc = parse(text).expect("valid");
-        assert_eq!(doc.value("ssr_shard_total", &[("shard", "1")]), Some(3.0));
-        assert_eq!(doc.sum("ssr_shard_total"), 5.0);
     }
 }

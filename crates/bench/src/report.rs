@@ -1,7 +1,7 @@
 //! Plain-text table output for the figure harness.
 //!
 //! The harness prints every figure as an aligned text table so results can be
-//! diffed, grepped and pasted into EXPERIMENTS.md without extra dependencies.
+//! diffed and grepped without extra dependencies.
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug, Default)]

@@ -19,6 +19,7 @@ use std::time::Duration;
 use ssr_core::serve::{Client, ServeConfig, Server};
 use ssr_core::wire::{QuerySpec, Request, Response, WireError};
 use ssr_core::{ClientConfig, FrameworkConfig, LiveDatabase, SubsequenceDatabase, WireClient};
+use ssr_datagen::{generate_proteins, ProteinConfig};
 use ssr_distance::Levenshtein;
 use ssr_fault::FailpointGuard;
 use ssr_sequence::{Sequence, Symbol};
@@ -65,13 +66,47 @@ const APPEND_SCRIPT: &[&str] = &[
     "CCCCCCCCGGGGGGGGTTTT",
 ];
 
-/// Runs the append script with `wal.append` armed to fail probabilistically
-/// under `seed`, crashes (drops the writer), reopens, and demands the
-/// recovered state equal a reference holding exactly the acked appends.
-/// Returns (acked, injected) so the caller can check the schedule shape.
-fn run_torn_wal_schedule(guard: &FailpointGuard, seed: u64, permille: u32) -> (usize, u64) {
+/// A database and the appends a torn-WAL schedule attempts on it, in order.
+type Fixture = (
+    SubsequenceDatabase<Symbol, Levenshtein>,
+    Vec<Sequence<Symbol>>,
+);
+
+fn scripted_fixture() -> Fixture {
+    (
+        initial_database(),
+        APPEND_SCRIPT.iter().map(|text| seq(text)).collect(),
+    )
+}
+
+/// A seeded 240-window generated-protein dataset: the first third of its
+/// sequences is the database, the rest are the appends.
+fn generated_fixture(seed: u64) -> Fixture {
+    let dataset = generate_proteins(&ProteinConfig::sized_for_windows(240, 20, seed));
+    let sequences = dataset.sequences();
+    let split = (sequences.len() / 3).max(1);
+    let config = FrameworkConfig::new(16).with_max_shift(2);
+    let mut builder = SubsequenceDatabase::builder(config, Levenshtein::new());
+    for sequence in &sequences[..split] {
+        builder = builder.add_sequence(sequence.clone());
+    }
+    let db = builder.build().expect("generated fixture builds");
+    (db, sequences[split..].to_vec())
+}
+
+/// Runs the fixture's appends with `wal.append` armed to fail
+/// probabilistically under `seed`, crashes (drops the writer), reopens, and
+/// demands the recovered state equal a reference holding exactly the acked
+/// appends. Returns (acked, injected) so the caller can check the schedule
+/// shape.
+fn run_torn_wal_schedule(
+    guard: &FailpointGuard,
+    (initial, appends): Fixture,
+    seed: u64,
+    permille: u32,
+) -> (usize, u64) {
     let path = scratch_path(&format!("torn-wal-{seed}"));
-    let mut live = LiveDatabase::create(&path, initial_database()).expect("create succeeds");
+    let mut live = LiveDatabase::create(&path, initial).expect("create succeeds");
     let initial_snapshot = std::fs::read(&path).expect("initial snapshot readable");
     let injected_before = ssr_fault::injected_total();
 
@@ -85,10 +120,10 @@ fn run_torn_wal_schedule(guard: &FailpointGuard, seed: u64, permille: u32) -> (u
         .rearm(&format!("wal.append=prob-{permille}-{seed}:error"))
         .unwrap();
     let mut acked = 0usize;
-    for text in APPEND_SCRIPT {
-        match live.append_sequence(seq(text)) {
+    for sequence in &appends {
+        match live.append_sequence(sequence.clone()) {
             Ok(_) => {
-                reference.append_sequence(seq(text));
+                reference.append_sequence(sequence.clone());
                 acked += 1;
             }
             Err(err) => assert!(
@@ -119,7 +154,7 @@ fn run_torn_wal_schedule(guard: &FailpointGuard, seed: u64, permille: u32) -> (u
     let injected = ssr_fault::injected_total() - injected_before;
     assert_eq!(
         injected as usize,
-        (APPEND_SCRIPT.len() - acked) + 1,
+        (appends.len() - acked) + 1,
         "every non-acked append (plus the torn finale) was an injection"
     );
     let _ = std::fs::remove_file(&path);
@@ -134,14 +169,20 @@ fn torn_wal_schedules_lose_no_acked_append_under_any_seed() {
     // fire at least once and ack at least once for the assertion to bite.
     let mut shapes = Vec::new();
     for seed in [7, 23, 5151] {
-        let (acked, injected) = run_torn_wal_schedule(&guard, seed, 350);
+        let (acked, injected) = run_torn_wal_schedule(&guard, scripted_fixture(), seed, 350);
         assert!(acked > 0, "seed {seed}: schedule acked nothing");
         assert!(injected > 1, "seed {seed}: schedule never fired mid-script");
         shapes.push((acked, injected));
     }
     // Determinism: replaying a seed replays its exact schedule.
-    let (acked, injected) = run_torn_wal_schedule(&guard, 7, 350);
+    let (acked, injected) = run_torn_wal_schedule(&guard, scripted_fixture(), 7, 350);
     assert_eq!((acked, injected), shapes[0], "seed 7 must replay exactly");
+    // The same schedule over generated data, three derived seeds per base.
+    for seed in [42, 1337].into_iter().flat_map(|base| base..base + 3) {
+        let (acked, injected) = run_torn_wal_schedule(&guard, generated_fixture(seed), seed, 350);
+        assert!(acked > 0, "seed {seed}: schedule acked nothing");
+        assert!(injected > 1, "seed {seed}: schedule never fired mid-script");
+    }
 }
 
 #[test]

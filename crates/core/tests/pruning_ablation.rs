@@ -80,9 +80,11 @@ fn pruning_is_pure_performance() {
 
         set_pruning_enabled(true);
         let pruned1 = engine.batch_type1(&qs, 5.0);
+        let pruned2 = engine.batch_type2(&qs, 8.0);
         let pruned3 = engine.batch_type3(&qs, 8.0, 2.0);
         set_pruning_enabled(false);
         let full1 = engine.batch_type1(&qs, 5.0);
+        let full2 = engine.batch_type2(&qs, 8.0);
         let full3 = engine.batch_type3(&qs, 8.0, 2.0);
         set_pruning_enabled(true);
 
@@ -94,6 +96,14 @@ fn pruning_is_pure_performance() {
                 "{backend}: Type I distance-call stats changed"
             );
         }
+        for (a, b) in pruned2.outcomes.iter().zip(&full2.outcomes) {
+            assert_eq!(a.result, b.result, "{backend}: Type II results changed");
+            assert_eq!(
+                frozen(&a.stats),
+                frozen(&b.stats),
+                "{backend}: Type II distance-call stats changed"
+            );
+        }
         for (a, b) in pruned3.outcomes.iter().zip(&full3.outcomes) {
             assert_eq!(a.result, b.result, "{backend}: Type III results changed");
             assert_eq!(
@@ -103,12 +113,16 @@ fn pruning_is_pure_performance() {
             );
         }
 
-        let pruned_cells =
-            pruned1.total_stats().dp_cells_evaluated + pruned3.total_stats().dp_cells_evaluated;
-        let full_cells =
-            full1.total_stats().dp_cells_evaluated + full3.total_stats().dp_cells_evaluated;
+        let pruned_cells = pruned1.total_stats().dp_cells_evaluated
+            + pruned2.total_stats().dp_cells_evaluated
+            + pruned3.total_stats().dp_cells_evaluated;
+        let full_cells = full1.total_stats().dp_cells_evaluated
+            + full2.total_stats().dp_cells_evaluated
+            + full3.total_stats().dp_cells_evaluated;
         assert_eq!(
-            full1.total_stats().pruned_by_lower_bound + full3.total_stats().pruned_by_lower_bound,
+            full1.total_stats().pruned_by_lower_bound
+                + full2.total_stats().pruned_by_lower_bound
+                + full3.total_stats().pruned_by_lower_bound,
             0,
             "{backend}: disabled pruning still recorded lower-bound prunes"
         );

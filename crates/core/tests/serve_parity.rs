@@ -2,11 +2,12 @@
 //! **bit-identical** — matches and work statistics — to the same queries run
 //! through a local [`QueryEngine`]. Alongside parity, this file pins the
 //! server's operational contracts: cache replays return the originally
-//! computed outcome flagged `cached`, a saturated admission queue rejects
+//! computed outcome flagged `cached`, the scraped telemetry agrees with what
+//! the client sent and timed, a saturated admission queue rejects
 //! with a typed `Overloaded` (while `Ping`/`Stats` keep answering), and both
 //! shutdown paths (handle and wire) drain cleanly.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ssr_core::serve::{Client, ServeConfig, Server};
 use ssr_core::wire::{QuerySpec, Request, Response, WireError};
@@ -61,6 +62,31 @@ fn serve_config() -> ServeConfig {
     }
 }
 
+/// The value of the unlabeled series `name` in a Prometheus text exposition.
+fn scraped(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no series {name} in the exposition"))
+}
+
+/// Lower edge of the bucket holding the nearest-rank 99th percentile of the
+/// scraped histogram `family`: every observation binned there was strictly
+/// greater, so this is a lower bound on the server's true p99.
+fn scraped_p99_lower_edge(exposition: &str, family: &str) -> u64 {
+    let rank = (0.99 * scraped(exposition, &format!("{family}_count")) as f64).ceil() as u64;
+    let prefix = format!("{family}_bucket{{le=\"");
+    let mut lower_edge = 0;
+    for bucket in exposition.lines().filter_map(|l| l.strip_prefix(&prefix)) {
+        let (le, cumulative) = bucket.split_once("\"} ").expect("bucket line");
+        if cumulative.parse::<u64>().expect("cumulative count") >= rank {
+            return lower_edge;
+        }
+        lower_edge = le.parse().expect("a finite edge below the p99 bucket");
+    }
+    panic!("histogram {family} never reaches its own count");
+}
+
 #[test]
 fn served_outcomes_are_bit_identical_to_in_process_outcomes() {
     let db = build_db();
@@ -77,6 +103,7 @@ fn served_outcomes_are_bit_identical_to_in_process_outcomes() {
     let server = Server::bind(build_db(), "127.0.0.1:0", serve_config()).expect("bind");
     let mut client = Client::<Symbol>::connect(server.local_addr()).expect("connect");
 
+    let mut client_us = Vec::new();
     for spec in specs {
         // The in-process reference, through the same engine the server uses.
         let expected: Vec<(Vec<ssr_core::SubsequenceMatch>, ssr_core::QueryStats)> = match spec {
@@ -103,16 +130,47 @@ fn served_outcomes_are_bit_identical_to_in_process_outcomes() {
                 .collect(),
         };
 
-        let response = client.request(&query_request(spec)).expect("request");
-        let Response::Outcomes(served) = response else {
-            panic!("expected outcomes, got {response:?}");
-        };
-        assert_eq!(served.len(), expected.len());
-        for (i, (wire, (matches, stats))) in served.iter().zip(&expected).enumerate() {
-            assert_eq!(&wire.matches, matches, "spec {spec:?} query {i}: matches");
-            assert_eq!(&wire.stats, stats, "spec {spec:?} query {i}: stats");
+        // Rounds after the first are answered by the result cache; a replay
+        // must be the same bits, so every round is held to the reference.
+        for round in 0..5 {
+            let sent = Instant::now();
+            let response = client.request(&query_request(spec)).expect("request");
+            client_us.push(sent.elapsed().as_micros() as u64);
+            let Response::Outcomes(served) = response else {
+                panic!("expected outcomes, got {response:?}");
+            };
+            assert_eq!(served.len(), expected.len());
+            for (i, (wire, (matches, stats))) in served.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    &wire.matches, matches,
+                    "spec {spec:?} round {round} query {i}: matches"
+                );
+                assert_eq!(
+                    &wire.stats, stats,
+                    "spec {spec:?} round {round} query {i}: stats"
+                );
+            }
         }
     }
+
+    // The server's own telemetry against what the client sent and timed: a
+    // drift in the answered-query counter means a request was double-counted
+    // or silently dropped, and the server-side p99 (admission queue included)
+    // can never exceed the client-side one, which also pays the round trip.
+    let Response::Metrics(exposition) = client.request(&Request::Metrics).expect("metrics") else {
+        panic!("expected the exposition");
+    };
+    assert_eq!(
+        scraped(&exposition, "ssr_queries_answered_total"),
+        (client_us.len() * QUERY_TEXTS.len()) as u64
+    );
+    client_us.sort_unstable();
+    let client_p99 = client_us[(0.99 * client_us.len() as f64).ceil() as usize - 1];
+    let server_p99 = scraped_p99_lower_edge(&exposition, "ssr_request_duration_us");
+    assert!(
+        server_p99 <= client_p99,
+        "server-side p99 > {server_p99} us exceeds the client-side p99 of {client_p99} us"
+    );
     server.shutdown();
 }
 
