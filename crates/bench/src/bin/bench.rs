@@ -17,8 +17,9 @@
 //! business of `benchmark/`, and every parity invariant (threads, snapshot
 //! reload, pruning ablation, served outcomes, fault schedules) belongs to the
 //! test suite that owns it. The report also carries `dp_cells_no_pruning`,
-//! the cells one rerun with the threshold-aware kernels switched off fills:
-//! ungated (`pruning_ablation.rs` holds the saving), quoted by the docs.
+//! the cells the same batch fills on a second database built from the same
+//! proteins on `Unpruned<Levenshtein>`: ungated (`pruning_ablation.rs` holds
+//! the saving), quoted by the docs.
 //!
 //! `--cluster` runs the node-kill harness of [`ssr_bench::cluster`]. The
 //! report goes to `--out`, or to stdout without it.
@@ -26,7 +27,7 @@
 use ssr_bench::json::JsonValue;
 use ssr_core::{FrameworkConfig, QueryEngine, SubsequenceDatabase};
 use ssr_datagen::{generate_proteins, plant_query, ProteinConfig, QueryConfig, SymbolMutator};
-use ssr_distance::Levenshtein;
+use ssr_distance::{Levenshtein, Unpruned};
 use ssr_sequence::{Sequence, Symbol};
 
 /// Fraction by which a gated metric may exceed its baseline value.
@@ -149,13 +150,11 @@ fn smoke_mode(opts: &Options) -> bool {
     // A duplicate of the first query exercises batch deduplication.
     queries.push(queries[0].clone());
 
-    let db: SubsequenceDatabase<Symbol, Levenshtein> = SubsequenceDatabase::builder(
-        FrameworkConfig::new(40).with_max_shift(2),
-        Levenshtein::new(),
-    )
-    .add_dataset(&proteins)
-    .build()
-    .expect("bench database builds");
+    let config = FrameworkConfig::new(40).with_max_shift(2);
+    let db = SubsequenceDatabase::builder(config.clone(), Levenshtein::new())
+        .add_dataset(&proteins)
+        .build()
+        .expect("bench database builds");
     eprintln!(
         "# bench: {} windows ({} build distance calls), {} queries",
         db.window_count(),
@@ -179,12 +178,14 @@ fn smoke_mode(opts: &Options) -> bool {
     );
 
     // What the same batch costs with every kernel running its full program.
-    ssr_distance::set_pruning_enabled(false);
-    let full_cells = engine
+    let unpruned = SubsequenceDatabase::builder(config, Unpruned(Levenshtein::new()))
+        .add_dataset(&proteins)
+        .build()
+        .expect("unpruned bench database builds");
+    let full_cells = QueryEngine::new(&unpruned)
         .batch_type2(&queries, EPSILON)
         .total_stats()
         .dp_cells_evaluated;
-    ssr_distance::set_pruning_enabled(true);
     eprintln!(
         "# pruning ablation: {full_cells} dp cells without pruning vs {} with — {:.2}x fewer",
         stats.dp_cells_evaluated,

@@ -749,23 +749,21 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     ) {
         let window = stored_window(windows, item);
         let b = window_slice(windows, &window);
-        if ssr_distance::pruning_enabled() {
-            let window_sum = self
-                .gap_prefixes
-                .as_ref()
-                .and_then(|prefixes| prefixes[window.sequence.0].range_sum(&window.range(b.len())));
-            let bounded = |lane: usize| {
-                let q_range = family.start..family.start + family.min_len + lane;
-                let sums = query_gap
-                    .and_then(|gap| gap.range_sum(&q_range))
-                    .zip(window_sum);
-                self.bounded_out((q_range.len(), b.len()), sums, tau)
-            };
-            if (0..family.lanes()).all(bounded) {
-                ssr_distance::record_lower_bound_prune();
-                out.fill(f64::INFINITY);
-                return;
-            }
+        let window_sum = self
+            .gap_prefixes
+            .as_ref()
+            .and_then(|prefixes| prefixes[window.sequence.0].range_sum(&window.range(b.len())));
+        let bounded = |lane: usize| {
+            let q_range = family.start..family.start + family.min_len + lane;
+            let sums = query_gap
+                .and_then(|gap| gap.range_sum(&q_range))
+                .zip(window_sum);
+            self.bounded_out((q_range.len(), b.len()), sums, tau)
+        };
+        if (0..family.lanes()).all(bounded) {
+            ssr_distance::record_lower_bound_prune();
+            out.fill(f64::INFINITY);
+            return;
         }
         let ends = EndSpec {
             min_a: family.min_len,

@@ -406,8 +406,8 @@ where
 
         // No counter reset here: the counter was created fresh above, so a
         // non-zero value after loading means decoding evaluated distances —
-        // exactly the regression the bench `--snapshot` zero-calls gate
-        // exists to catch. Resetting would make that gate vacuous.
+        // exactly the regression `tests::snapshot_roundtrips_for_every_backend`
+        // exists to catch. Resetting would make that check vacuous.
         let probe_depth = crate::database::probe_depth_histogram(index.backend_name());
         Ok(SubsequenceDatabase {
             config,

@@ -6,14 +6,12 @@
 //! bit — a loop that runs `distance_within` on every (segment, live window)
 //! pair, on a built database and again after an append and a tombstoned
 //! remove, with one lane, with truncated tail families, with no family at
-//! all, at radius zero, and with pruning switched off.
-
-use std::sync::{Mutex, MutexGuard};
+//! all, at radius zero, and on the same database built on the measure's
+//! [`Unpruned`] ablation.
 
 use ssr_core::{FrameworkConfig, IndexBackend, SegmentScan, SubsequenceDatabase};
 use ssr_distance::{
-    set_pruning_enabled, DiscreteFrechet, Dtw, Erp, Euclidean, Hamming, Levenshtein,
-    SequenceDistance,
+    DiscreteFrechet, Dtw, Erp, Euclidean, Hamming, Levenshtein, SequenceDistance, Unpruned,
 };
 use ssr_sequence::{
     segment_families, Element, Pitch, Point2D, Sequence, SequenceId, Symbol, WindowId,
@@ -25,13 +23,6 @@ const METRIC_BACKENDS: [IndexBackend; 4] = [
     IndexBackend::MvReference { references: 3 },
     IndexBackend::LinearScan,
 ];
-
-/// The pruning knob is process-global and some tests here read the
-/// lower-bound tally, so the tests of this file take turns.
-fn serial() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Deterministic values in `0..bound`; the inputs only need variety.
 struct Lcg(u64);
@@ -187,7 +178,7 @@ fn check<E: Element + Send + Sync, D: SequenceDistance<E> + Clone>(
     assert!(agrees(&db, &shared[..spec.min_len() - 1], loose, "no family").is_empty());
     assert!(agrees(&db, &[], loose, "empty query").is_empty());
 
-    db.append_sequence(Sequence::new(appended));
+    db.append_sequence(Sequence::new(appended.clone()));
     assert!(db.remove_sequence(SequenceId(1)));
     for epsilon in [loose, tight, 0.0] {
         let scan = agrees(&db, &query, epsilon, "after append and remove");
@@ -200,21 +191,18 @@ fn check<E: Element + Send + Sync, D: SequenceDistance<E> + Clone>(
         "the appended sequence is indexed"
     );
 
-    set_pruning_enabled(false);
-    let unpruned = agrees(&db, &query, loose, "pruning off");
-    set_pruning_enabled(true);
+    let mut full = build(config, Unpruned(distance), &stored);
+    full.append_sequence(Sequence::new(appended));
+    assert!(full.remove_sequence(SequenceId(1)));
+    let unpruned = agrees(&full, &query, loose, "unpruned");
     assert_eq!(unpruned.pruned_by_lower_bound, 0);
-    assert_eq!(
-        rows(&unpruned),
-        rows(&agrees(&db, &query, loose, "pruning on"))
-    );
+    assert_eq!(rows(&unpruned), rows(&agrees(&db, &query, loose, "pruned")));
 
     prunes
 }
 
 #[test]
 fn levenshtein_on_symbols() {
-    let _turn = serial();
     for backend in METRIC_BACKENDS {
         check(backend, Levenshtein::new(), symbol, (3.0, 1.0), 2);
         // One lane per family.
@@ -224,7 +212,6 @@ fn levenshtein_on_symbols() {
 
 #[test]
 fn erp_on_pitches_keeps_its_gap_sum_bound() {
-    let _turn = serial();
     for backend in METRIC_BACKENDS {
         let prunes = check(backend, Erp::new(), pitch, (14.0, 4.0), 2);
         assert!(prunes > 0, "{backend}: the gap-sum bound never fired");
@@ -233,7 +220,6 @@ fn erp_on_pitches_keeps_its_gap_sum_bound() {
 
 #[test]
 fn erp_on_inexact_sums_never_prunes_on_them() {
-    let _turn = serial();
     for backend in METRIC_BACKENDS {
         let prunes = check(backend, Erp::new(), scalar, (9.0, 2.5), 2);
         assert_eq!(prunes, 0, "{backend}: pruned on a sum that is not exact");
@@ -242,7 +228,6 @@ fn erp_on_inexact_sums_never_prunes_on_them() {
 
 #[test]
 fn discrete_frechet_on_points() {
-    let _turn = serial();
     for backend in METRIC_BACKENDS {
         check(backend, DiscreteFrechet::new(), point, (4.5, 2.0), 1);
     }
@@ -250,7 +235,6 @@ fn discrete_frechet_on_points() {
 
 #[test]
 fn lockstep_measures_have_one_lane() {
-    let _turn = serial();
     for backend in METRIC_BACKENDS {
         check(backend, Euclidean::new(), scalar, (9.0, 4.0), 0);
         check(backend, Hamming::new(), symbol, (3.0, 1.0), 0);
@@ -259,6 +243,5 @@ fn lockstep_measures_have_one_lane() {
 
 #[test]
 fn dtw_on_a_linear_scan() {
-    let _turn = serial();
     check(IndexBackend::LinearScan, Dtw::new(), pitch, (12.0, 4.0), 2);
 }

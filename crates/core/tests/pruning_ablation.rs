@@ -1,17 +1,22 @@
-//! End-to-end ablation of the threshold-aware pruning cascade: with pruning
-//! disabled, every query must return **bit-identical results and
-//! distance-call statistics** — only `dp_cells_evaluated` may grow (and
-//! `pruned_by_lower_bound` must drop to zero). This is the in-repo proof that
-//! the pruning machinery is pure performance, never behaviour, and it pins
-//! the headline saving: the full pipeline must evaluate at least 3× fewer DP
-//! cells with pruning on than off at this (smoke-like) scale.
-//!
-//! Lives in its own integration-test binary because the ablation knob is
-//! process-global.
+//! End-to-end ablation of the threshold-aware pruning cascade: a database
+//! built on `Unpruned<D>`, whose kernels all run their full programs, must
+//! return **bit-identical results and distance-call statistics** to one built
+//! on `D` — only `dp_cells_evaluated` may grow, and `pruned_by_lower_bound`
+//! drops to zero. This is the in-repo proof that the pruning machinery is pure
+//! performance, never behaviour, and it pins the headline saving: the
+//! Levenshtein pipeline must evaluate at least 3× fewer DP cells pruned than
+//! unpruned at this (smoke-like) scale, on every backend. The two sides are
+//! two databases, so each case runs them at once, on two threads.
+//! (`verify_ablation.rs` holds the same for ERP's dead start pairs.)
 
-use ssr_core::{FrameworkConfig, IndexBackend, QueryEngine, QueryStats, SubsequenceDatabase};
-use ssr_distance::{set_pruning_enabled, Levenshtein};
-use ssr_sequence::{Sequence, Symbol};
+use std::fmt::Debug;
+
+use ssr_core::{
+    BatchOutcome, FrameworkConfig, IndexBackend, QueryEngine, QueryStats, SubsequenceDatabase,
+    SubsequenceMatch,
+};
+use ssr_distance::{Levenshtein, SequenceDistance, Unpruned};
+use ssr_sequence::{Element, Sequence, Symbol};
 
 fn seq(text: &str) -> Sequence<Symbol> {
     Sequence::new(text.chars().map(Symbol::from_char).collect())
@@ -21,7 +26,7 @@ fn seq(text: &str) -> Sequence<Symbol> {
 /// planted motifs, long enough that verification dominates.
 const MOTIF: &str = "ACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWY";
 
-fn build_db(backend: IndexBackend) -> SubsequenceDatabase<Symbol, Levenshtein> {
+fn protein_sequences() -> Vec<Sequence<Symbol>> {
     let alphabet: Vec<char> = "ACDEFGHIKLMNPQRSTVWY".chars().collect();
     let mut sequences = Vec::new();
     for s in 0..2u64 {
@@ -37,24 +42,59 @@ fn build_db(backend: IndexBackend) -> SubsequenceDatabase<Symbol, Levenshtein> {
         text.insert_str(60, MOTIF);
         sequences.push(seq(&text));
     }
-    // Mirrors the smoke bench shape: λ = 40 (windows of 20) at radius 8.
-    let mut builder = SubsequenceDatabase::builder(
-        FrameworkConfig::new(40)
-            .with_max_shift(2)
-            .with_backend(backend),
-        Levenshtein::new(),
-    );
-    for s in sequences {
-        builder = builder.add_sequence(s);
-    }
-    builder.build().expect("ablation database builds")
+    sequences
 }
 
-fn queries() -> Vec<Sequence<Symbol>> {
+fn protein_queries() -> Vec<Sequence<Symbol>> {
     vec![
         seq(&format!("WWWWWWWWWW{MOTIF}WWWWWWWWWW")),
         seq("QLNWYHKTQDGARESVFCPIQLNWYHKTQDGARESVFCPIQLNWYHKTQDGARESVFCPI"),
     ]
+}
+
+fn build<E: Element + Send + Sync, D: SequenceDistance<E>>(
+    config: &FrameworkConfig,
+    distance: D,
+    sequences: &[Sequence<E>],
+) -> SubsequenceDatabase<E, D> {
+    let mut builder = SubsequenceDatabase::builder(config.clone(), distance);
+    for sequence in sequences {
+        builder = builder.add_sequence(sequence.clone());
+    }
+    builder.build().expect("ablation database builds")
+}
+
+/// Radii of one case: Type I, Type II, and Type III's maximum and step.
+type Radii = (f64, f64, f64, f64);
+
+/// One batch of each query type.
+struct Batches {
+    type1: BatchOutcome<Vec<SubsequenceMatch>>,
+    type2: BatchOutcome<Option<SubsequenceMatch>>,
+    type3: BatchOutcome<Option<SubsequenceMatch>>,
+}
+
+impl Batches {
+    fn run<E: Element + Send + Sync, D: SequenceDistance<E>>(
+        db: &SubsequenceDatabase<E, D>,
+        queries: &[Sequence<E>],
+        (radius1, radius2, max3, step3): Radii,
+    ) -> Self {
+        let engine = QueryEngine::new(db);
+        Batches {
+            type1: engine.batch_type1(queries, radius1),
+            type2: engine.batch_type2(queries, radius2),
+            type3: engine.batch_type3(queries, max3, step3),
+        }
+    }
+
+    fn stats(&self) -> [QueryStats; 3] {
+        [
+            self.type1.total_stats(),
+            self.type2.total_stats(),
+            self.type3.total_stats(),
+        ]
+    }
 }
 
 /// Strips the fields pruning is allowed to change.
@@ -66,66 +106,68 @@ fn frozen(stats: &QueryStats) -> QueryStats {
     }
 }
 
+fn assert_same<R: PartialEq + Debug>(what: &str, a: &BatchOutcome<R>, b: &BatchOutcome<R>) {
+    assert_eq!(a.outcomes.len(), b.outcomes.len());
+    for (a, b) in a.outcomes.iter().zip(&b.outcomes) {
+        assert_eq!(a.result, b.result, "{what}: results changed");
+        assert_eq!(
+            frozen(&a.stats),
+            frozen(&b.stats),
+            "{what}: distance-call stats changed"
+        );
+        assert_eq!(
+            b.stats.pruned_by_lower_bound, 0,
+            "{what}: the unpruned side recorded lower-bound prunes"
+        );
+    }
+}
+
+/// Runs the three query types on `pruned` and on `unpruned` concurrently,
+/// holds them to the same answers and calls, and returns both sides.
+fn ablate<E: Element + Send + Sync, D: SequenceDistance<E>>(
+    what: &str,
+    pruned: &SubsequenceDatabase<E, D>,
+    unpruned: &SubsequenceDatabase<E, Unpruned<D>>,
+    queries: &[Sequence<E>],
+    radii: Radii,
+) -> (Batches, Batches) {
+    let (pruned, unpruned) = std::thread::scope(|s| {
+        let full = s.spawn(|| Batches::run(unpruned, queries, radii));
+        let pruned = Batches::run(pruned, queries, radii);
+        (pruned, full.join().expect("the unpruned side runs"))
+    });
+    assert_same(&format!("{what} Type I"), &pruned.type1, &unpruned.type1);
+    assert_same(&format!("{what} Type II"), &pruned.type2, &unpruned.type2);
+    assert_same(&format!("{what} Type III"), &pruned.type3, &unpruned.type3);
+    (pruned, unpruned)
+}
+
 #[test]
 fn pruning_is_pure_performance() {
+    let sequences = protein_sequences();
+    let queries = protein_queries();
     for backend in [
         IndexBackend::ReferenceNet,
         IndexBackend::CoverTree,
         IndexBackend::MvReference { references: 4 },
         IndexBackend::LinearScan,
     ] {
-        let db = build_db(backend);
-        let qs = queries();
-        let engine = QueryEngine::new(&db);
-
-        set_pruning_enabled(true);
-        let pruned1 = engine.batch_type1(&qs, 5.0);
-        let pruned2 = engine.batch_type2(&qs, 8.0);
-        let pruned3 = engine.batch_type3(&qs, 8.0, 2.0);
-        set_pruning_enabled(false);
-        let full1 = engine.batch_type1(&qs, 5.0);
-        let full2 = engine.batch_type2(&qs, 8.0);
-        let full3 = engine.batch_type3(&qs, 8.0, 2.0);
-        set_pruning_enabled(true);
-
-        for (a, b) in pruned1.outcomes.iter().zip(&full1.outcomes) {
-            assert_eq!(a.result, b.result, "{backend}: Type I results changed");
-            assert_eq!(
-                frozen(&a.stats),
-                frozen(&b.stats),
-                "{backend}: Type I distance-call stats changed"
-            );
-        }
-        for (a, b) in pruned2.outcomes.iter().zip(&full2.outcomes) {
-            assert_eq!(a.result, b.result, "{backend}: Type II results changed");
-            assert_eq!(
-                frozen(&a.stats),
-                frozen(&b.stats),
-                "{backend}: Type II distance-call stats changed"
-            );
-        }
-        for (a, b) in pruned3.outcomes.iter().zip(&full3.outcomes) {
-            assert_eq!(a.result, b.result, "{backend}: Type III results changed");
-            assert_eq!(
-                frozen(&a.stats),
-                frozen(&b.stats),
-                "{backend}: Type III distance-call stats changed"
-            );
-        }
-
-        let pruned_cells = pruned1.total_stats().dp_cells_evaluated
-            + pruned2.total_stats().dp_cells_evaluated
-            + pruned3.total_stats().dp_cells_evaluated;
-        let full_cells = full1.total_stats().dp_cells_evaluated
-            + full2.total_stats().dp_cells_evaluated
-            + full3.total_stats().dp_cells_evaluated;
-        assert_eq!(
-            full1.total_stats().pruned_by_lower_bound
-                + full2.total_stats().pruned_by_lower_bound
-                + full3.total_stats().pruned_by_lower_bound,
-            0,
-            "{backend}: disabled pruning still recorded lower-bound prunes"
+        // Mirrors the smoke bench shape: λ = 40 (windows of 20) at radius 8.
+        let config = FrameworkConfig::new(40)
+            .with_max_shift(2)
+            .with_backend(backend);
+        let db = build(&config, Levenshtein::new(), &sequences);
+        let full_db = build(&config, Unpruned(Levenshtein::new()), &sequences);
+        let (pruned, full) = ablate(
+            &backend.to_string(),
+            &db,
+            &full_db,
+            &queries,
+            (5.0, 8.0, 8.0, 2.0),
         );
+        let cells =
+            |side: &Batches| -> u64 { side.stats().iter().map(|s| s.dp_cells_evaluated).sum() };
+        let (pruned_cells, full_cells) = (cells(&pruned), cells(&full));
         assert!(
             pruned_cells * 3 <= full_cells,
             "{backend}: expected ≥3× DP-cell saving, got {pruned_cells} vs {full_cells}"

@@ -1,16 +1,15 @@
 //! Whether a start pair is dead is read off its end table, and a table keeps
 //! exactly the distances within the radius whether or not its program was
-//! banded or abandoned. So with pruning disabled an ERP query — the measure
-//! whose step-4 gap-sum bound and float band do the most — returns
-//! **bit-identical results and call statistics**: only `dp_cells_evaluated`
-//! grows and `pruned_by_lower_bound` drops to zero. (`pruning_ablation.rs`
-//! holds the same for Levenshtein on all four backends.)
-//!
-//! Lives in its own integration-test binary because the ablation knob is
-//! process-global.
+//! banded or abandoned. So an ERP query — the measure whose step-4 gap-sum
+//! bound and float band do the most — returns **bit-identical results and
+//! call statistics** on a database built on `Unpruned<Erp>`: only
+//! `dp_cells_evaluated` grows and `pruned_by_lower_bound` drops to zero.
+//! (`pruning_ablation.rs` holds the same for Levenshtein on all four
+//! backends.) The two sides are two databases, so they run at once, on two
+//! threads.
 
 use ssr_core::{FrameworkConfig, QueryStats, SubsequenceDatabase};
-use ssr_distance::{set_pruning_enabled, Erp};
+use ssr_distance::{Erp, SequenceDistance, Unpruned};
 use ssr_sequence::{Pitch, Sequence};
 
 /// Deterministic pitches; every third of the first sequence's middle is
@@ -35,34 +34,44 @@ fn inputs() -> (Vec<Sequence<Pitch>>, Sequence<Pitch>) {
     )
 }
 
+fn build<D: SequenceDistance<Pitch>>(
+    distance: D,
+    sequences: &[Sequence<Pitch>],
+) -> SubsequenceDatabase<Pitch, D> {
+    let mut builder =
+        SubsequenceDatabase::builder(FrameworkConfig::new(16).with_max_shift(2), distance);
+    for sequence in sequences {
+        builder = builder.add_sequence(sequence.clone());
+    }
+    builder.build().expect("database builds")
+}
+
 #[test]
 fn dead_start_pairs_do_not_depend_on_pruning() {
     let (sequences, query) = inputs();
-    let mut builder =
-        SubsequenceDatabase::builder(FrameworkConfig::new(16).with_max_shift(2), Erp::new());
-    for sequence in sequences {
-        builder = builder.add_sequence(sequence);
-    }
-    let db = builder.build().expect("database builds");
+    let db = build(Erp::new(), &sequences);
+    let full_db = build(Unpruned(Erp::new()), &sequences);
     let frozen = |stats: &QueryStats| QueryStats {
         dp_cells_evaluated: 0,
         pruned_by_lower_bound: 0,
         ..*stats
     };
 
-    set_pruning_enabled(true);
-    let pruned = (
-        db.query_type1(&query, 12.0),
-        db.query_type2(&query, 12.0),
-        db.query_type3(&query, 16.0, 4.0),
-    );
-    set_pruning_enabled(false);
-    let full = (
-        db.query_type1(&query, 12.0),
-        db.query_type2(&query, 12.0),
-        db.query_type3(&query, 16.0, 4.0),
-    );
-    set_pruning_enabled(true);
+    let (pruned, full) = std::thread::scope(|s| {
+        let full = s.spawn(|| {
+            (
+                full_db.query_type1(&query, 12.0),
+                full_db.query_type2(&query, 12.0),
+                full_db.query_type3(&query, 16.0, 4.0),
+            )
+        });
+        let pruned = (
+            db.query_type1(&query, 12.0),
+            db.query_type2(&query, 12.0),
+            db.query_type3(&query, 16.0, 4.0),
+        );
+        (pruned, full.join().expect("the unpruned side runs"))
+    });
 
     assert!(pruned.0.result.len() > 10, "the plant is found");
     assert_eq!(pruned.0.result, full.0.result);

@@ -7,7 +7,7 @@
 //! layer's `CountingMetric` is the one charging point).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 thread_local! {
@@ -22,30 +22,6 @@ thread_local! {
     /// Monotone per-thread tally of distance evaluations resolved by a cheap
     /// lower bound alone (see [`lower_bound_prunes_thread_total`]).
     static THREAD_LB_PRUNES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Process-global switch for the threshold-aware pruning machinery (lower
-/// bounds, banded DP, early abandoning). Enabled by default; the bench
-/// harness's `--no-pruning` ablation disables it to measure the saving
-/// in-repo. Disabling never changes results — kernels fall back to the full
-/// dynamic program and apply the threshold to the finished value — it only
-/// changes how many DP cells they evaluate.
-static PRUNING_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables threshold-aware pruning process-wide (ablation knob).
-///
-/// Results are identical either way; only [`dp_cells_thread_total`] and
-/// [`lower_bound_prunes_thread_total`] are affected. Intended for benchmarks
-/// and dedicated ablation tests — flipping it while other threads measure
-/// pruning ratios makes those measurements meaningless (but never wrong).
-pub fn set_pruning_enabled(enabled: bool) {
-    PRUNING_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether threshold-aware pruning is currently enabled (see
-/// [`set_pruning_enabled`]).
-pub fn pruning_enabled() -> bool {
-    PRUNING_ENABLED.load(Ordering::Relaxed)
 }
 
 /// `true` when `value` does **not** satisfy `value ≤ tau`: either it exceeds

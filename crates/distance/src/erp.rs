@@ -2,11 +2,10 @@
 
 use ssr_sequence::Element;
 
-use crate::alignment::{Alignment, Coupling};
-use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::counting::{record_dp_cells, record_lower_bound_prune};
 use crate::end_table::{EndSink, EndSpec};
 use crate::lower_bounds::{erp_lower_bound_from_sums, scan_gap_costs};
-use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
+use crate::traits::{DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
 
 /// ERP: an edit-style distance whose substitution cost is the ground distance
@@ -51,13 +50,11 @@ impl<E: Element> SequenceDistance<E> for Erp {
         if n == 0 && m == 0 {
             return if 0.0 <= tau { Some(0.0) } else { None };
         }
-        let prune = pruning_enabled();
         // The lower bound and the band both come from one gap-cost scan of
-        // each input; with pruning disabled — or an infinite threshold,
-        // against which neither can ever trigger — the scan's outputs would
-        // all be unused, so skip it entirely.
+        // each input; against an infinite threshold neither can ever
+        // trigger, so the scan is skipped there.
         let mut k = n.max(m);
-        if prune && tau.is_finite() {
+        if tau.is_finite() {
             let scan_a = scan_gap_costs(a);
             let scan_b = scan_gap_costs(b);
             let exact_sums = scan_a.integral && scan_b.integral;
@@ -112,7 +109,7 @@ impl<E: Element> SequenceDistance<E> for Erp {
                 if hi < m {
                     curr[hi + 1] = f64::INFINITY;
                 }
-                if prune && crate::counting::exceeds(row_min, tau) {
+                if crate::counting::exceeds(row_min, tau) {
                     record_dp_cells(cells);
                     return None;
                 }
@@ -138,9 +135,8 @@ impl<E: Element> SequenceDistance<E> for Erp {
         let n = a.len();
         let m = b.len();
         let mut sink = EndSink::new(out, ends, n, m, tau);
-        let prune = pruning_enabled();
         let mut k = n.max(m);
-        if prune && tau >= 0.0 && tau.is_finite() {
+        if tau >= 0.0 && tau.is_finite() {
             let scan_a = scan_gap_costs(a);
             let scan_b = scan_gap_costs(b);
             let min_gap = scan_a.min_cost.min(scan_b.min_cost);
@@ -184,7 +180,7 @@ impl<E: Element> SequenceDistance<E> for Erp {
                 if hi < m {
                     curr[hi + 1] = f64::INFINITY;
                 }
-                if prune && crate::counting::exceeds(row_min, tau) {
+                if crate::counting::exceeds(row_min, tau) {
                     break;
                 }
                 let first = if edge_in_band { 0 } else { lo };
@@ -220,71 +216,6 @@ impl<E: Element> SequenceDistance<E> for Erp {
         // Aligning everything against the gap element costs at most
         // 2 * len * max ground distance; the optimum can only be smaller.
         E::max_ground_distance().map(|g| g * 2.0 * len as f64)
-    }
-}
-
-impl<E: Element> AlignmentDistance<E> for Erp {
-    fn alignment(&self, a: &[E], b: &[E]) -> Alignment {
-        let gap = E::gap();
-        let n = a.len();
-        let m = b.len();
-        if n == 0 || m == 0 {
-            let cost = <Self as SequenceDistance<E>>::distance(self, a, b);
-            return Alignment::new(Vec::new(), cost);
-        }
-        let mut dp = vec![0.0f64; (n + 1) * (m + 1)];
-        let idx = |i: usize, j: usize| i * (m + 1) + j;
-        for i in 1..=n {
-            dp[idx(i, 0)] = dp[idx(i - 1, 0)] + a[i - 1].ground_distance(&gap);
-        }
-        for j in 1..=m {
-            dp[idx(0, j)] = dp[idx(0, j - 1)] + b[j - 1].ground_distance(&gap);
-        }
-        for i in 1..=n {
-            for j in 1..=m {
-                let match_cost = dp[idx(i - 1, j - 1)] + a[i - 1].ground_distance(&b[j - 1]);
-                let gap_a = dp[idx(i - 1, j)] + a[i - 1].ground_distance(&gap);
-                let gap_b = dp[idx(i, j - 1)] + b[j - 1].ground_distance(&gap);
-                dp[idx(i, j)] = match_cost.min(gap_a).min(gap_b);
-            }
-        }
-        let mut couplings = Vec::with_capacity(n + m);
-        let mut i = n;
-        let mut j = m;
-        const EPS: f64 = 1e-9;
-        while i > 0 || j > 0 {
-            if i > 0 && j > 0 {
-                let match_cost = dp[idx(i - 1, j - 1)] + a[i - 1].ground_distance(&b[j - 1]);
-                if (dp[idx(i, j)] - match_cost).abs() <= EPS {
-                    couplings.push(Coupling {
-                        a_index: i - 1,
-                        b_index: j - 1,
-                    });
-                    i -= 1;
-                    j -= 1;
-                    continue;
-                }
-            }
-            if i > 0 {
-                let gap_a = dp[idx(i - 1, j)] + a[i - 1].ground_distance(&gap);
-                if (dp[idx(i, j)] - gap_a).abs() <= EPS {
-                    couplings.push(Coupling {
-                        a_index: i - 1,
-                        b_index: j.saturating_sub(1),
-                    });
-                    i -= 1;
-                    continue;
-                }
-            }
-            // Gap in a: b[j-1] is matched to the gap element.
-            couplings.push(Coupling {
-                a_index: i.saturating_sub(1),
-                b_index: j - 1,
-            });
-            j -= 1;
-        }
-        couplings.reverse();
-        Alignment::new(couplings, dp[idx(n, m)])
     }
 }
 
@@ -377,53 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn alignment_cost_matches_distance_and_is_valid() {
-        let d = Erp::new();
-        let a = pitches(&[1, 4, 2, 8, 5, 7, 0, 3]);
-        let b = pitches(&[2, 4, 1, 8, 8, 6, 1]);
-        let al = d.alignment(&a, &b);
-        assert!((al.cost - d.distance(&a, &b)).abs() < 1e-9);
-        assert!(al.is_valid(a.len(), b.len()));
-    }
-
-    #[test]
-    fn consistency_holds_empirically_for_every_subsequence_of_b() {
-        // Definition 1 asks for *existence* of a cheap subsequence of `a`; we
-        // first try the alignment projection (the construction used in the
-        // paper's proof) and fall back to an exhaustive search, which also
-        // covers the ERP-specific subtlety that the first coupling of a
-        // restricted alignment is never charged as a gap.
-        let d = Erp::new();
-        let a = pitches(&[0, 2, 4, 5, 7, 9, 11, 9, 7, 5, 4, 2]);
-        let b = pitches(&[0, 1, 4, 6, 7, 9, 10, 9, 8, 5, 3, 2, 0]);
-        let full = d.distance(&a, &b);
-        let al = d.alignment(&a, &b);
-        for start in 0..b.len() {
-            for end in (start + 1)..=b.len() {
-                let sx = &b[start..end];
-                let a_range = al.a_range_for_b_range(start..end).unwrap();
-                let mut best = d.distance(&a[a_range], sx);
-                if best > full {
-                    for s in 0..a.len() {
-                        for e in (s + 1)..=a.len() {
-                            best = best.min(d.distance(&a[s..e], sx));
-                        }
-                    }
-                }
-                assert!(
-                    best <= full + 1e-9,
-                    "no subsequence of a within {full} of b[{start}..{end}] (best {best})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn max_distance_bound_is_respected_for_pitches() {
         let d = Erp::new();
         let bound = SequenceDistance::<Pitch>::max_distance(&d, 4).unwrap();
         let a = pitches(&[11, 11, 11, 11]);
         let b = pitches(&[0, 0, 0, 0]);
         assert!(d.distance(&a, &b) <= bound);
+    }
+
+    #[test]
+    fn consistency_holds_empirically_for_every_subsequence_of_b() {
+        crate::traits::assert_consistent(
+            &Erp::new(),
+            &pitches(&[0, 2, 4, 5, 7, 9, 11, 9, 7, 5, 4, 2]),
+            &pitches(&[0, 1, 4, 6, 7, 9, 10, 9, 8, 5, 3, 2, 0]),
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 use ssr_sequence::Element;
 
-use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::counting::{record_dp_cells, record_lower_bound_prune};
 use crate::end_table::{EndSink, EndSpec};
 use crate::traits::{DistanceProperties, SequenceDistance};
 
@@ -41,15 +41,12 @@ impl<E: Element> SequenceDistance<E> for Euclidean {
     /// check — it never abandons on its own, so boundary rounding of `τ²`
     /// cannot misclassify a pair.
     fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
-        let prune = pruning_enabled();
         if a.len() != b.len() {
             let d = f64::INFINITY;
             if d <= tau {
                 return Some(d);
             }
-            if prune {
-                record_lower_bound_prune();
-            }
+            record_lower_bound_prune();
             return None;
         }
         let tau_sq = tau * tau;
@@ -59,7 +56,7 @@ impl<E: Element> SequenceDistance<E> for Euclidean {
             let g = x.ground_distance(y);
             sum_sq += g * g;
             cells += 1;
-            if prune && sum_sq > tau_sq && crate::counting::exceeds(sum_sq.sqrt(), tau) {
+            if sum_sq > tau_sq && crate::counting::exceeds(sum_sq.sqrt(), tau) {
                 record_dp_cells(cells);
                 return None;
             }
@@ -80,7 +77,6 @@ impl<E: Element> SequenceDistance<E> for Euclidean {
     fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
         let mut sink = EndSink::new(out, ends, a.len(), b.len(), tau);
         sink.row(0, 0..=0, |_| 0.0);
-        let prune = pruning_enabled();
         let tau_sq = tau * tau;
         let mut sum_sq = 0.0f64;
         let mut cells = 0u64;
@@ -88,7 +84,7 @@ impl<E: Element> SequenceDistance<E> for Euclidean {
             let g = x.ground_distance(y);
             sum_sq += g * g;
             cells += 1;
-            if prune && sum_sq > tau_sq && crate::counting::exceeds(sum_sq.sqrt(), tau) {
+            if sum_sq > tau_sq && crate::counting::exceeds(sum_sq.sqrt(), tau) {
                 break;
             }
             sink.row(i + 1, i + 1..=i + 1, |_| sum_sq.sqrt());

@@ -2,10 +2,9 @@
 
 use ssr_sequence::Element;
 
-use crate::alignment::{Alignment, Coupling};
-use crate::counting::{pruning_enabled, record_dp_cells};
+use crate::counting::record_dp_cells;
 use crate::end_table::{EndSink, EndSpec};
-use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
+use crate::traits::{DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
 
 /// The discrete Fréchet distance: the minimum, over all couplings (warping
@@ -46,7 +45,6 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
             let d = f64::INFINITY;
             return if d <= tau { Some(d) } else { None };
         }
-        let prune = pruning_enabled();
         let m = b.len();
         DistanceWorkspace::with(|ws| {
             let (prev, curr) = ws.f64_rows(m, f64::INFINITY);
@@ -74,7 +72,7 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
                     row_min = row_min.min(reach);
                 }
                 cells += m as u64;
-                if prune && crate::counting::exceeds(row_min, tau) {
+                if crate::counting::exceeds(row_min, tau) {
                     record_dp_cells(cells);
                     return None;
                 }
@@ -98,7 +96,6 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
         let m = b.len();
         let mut sink = EndSink::new(out, ends, a.len(), m, tau);
         sink.row(0, 0..=0, |_| 0.0);
-        let prune = pruning_enabled();
         DistanceWorkspace::with(|ws| {
             let (prev, curr) = ws.f64_rows(m, f64::INFINITY);
             let mut cells = 0u64;
@@ -125,7 +122,7 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
                     row_min = row_min.min(reach);
                 }
                 cells += m as u64;
-                if prune && crate::counting::exceeds(row_min, tau) {
+                if crate::counting::exceeds(row_min, tau) {
                     break;
                 }
                 sink.row(i + 1, 1..=m, |j| curr[j - 1]);
@@ -152,86 +149,6 @@ impl<E: Element> SequenceDistance<E> for DiscreteFrechet {
         // The maximum coupling cost is bounded by the ground-distance bound
         // irrespective of sequence length.
         E::max_ground_distance()
-    }
-}
-
-impl<E: Element> AlignmentDistance<E> for DiscreteFrechet {
-    fn alignment(&self, a: &[E], b: &[E]) -> Alignment {
-        if a.is_empty() || b.is_empty() {
-            let cost = if a.is_empty() && b.is_empty() {
-                0.0
-            } else {
-                f64::INFINITY
-            };
-            return Alignment::new(Vec::new(), cost);
-        }
-        let n = a.len();
-        let m = b.len();
-        let mut dp = vec![f64::INFINITY; n * m];
-        let idx = |i: usize, j: usize| i * m + j;
-        for i in 0..n {
-            for j in 0..m {
-                let cost = a[i].ground_distance(&b[j]);
-                dp[idx(i, j)] = if i == 0 && j == 0 {
-                    cost
-                } else {
-                    let mut best = f64::INFINITY;
-                    if i > 0 {
-                        best = best.min(dp[idx(i - 1, j)]);
-                    }
-                    if j > 0 {
-                        best = best.min(dp[idx(i, j - 1)]);
-                    }
-                    if i > 0 && j > 0 {
-                        best = best.min(dp[idx(i - 1, j - 1)]);
-                    }
-                    best.max(cost)
-                };
-            }
-        }
-        // Greedy traceback: from (n-1, m-1) repeatedly move to the predecessor
-        // with the smallest reach value.
-        let mut couplings = Vec::with_capacity(n + m);
-        let mut i = n - 1;
-        let mut j = m - 1;
-        loop {
-            couplings.push(Coupling {
-                a_index: i,
-                b_index: j,
-            });
-            if i == 0 && j == 0 {
-                break;
-            }
-            let diag = if i > 0 && j > 0 {
-                dp[idx(i - 1, j - 1)]
-            } else {
-                f64::INFINITY
-            };
-            let up = if i > 0 {
-                dp[idx(i - 1, j)]
-            } else {
-                f64::INFINITY
-            };
-            let left = if j > 0 {
-                dp[idx(i, j - 1)]
-            } else {
-                f64::INFINITY
-            };
-            if diag <= up && diag <= left {
-                i -= 1;
-                j -= 1;
-            } else if up <= left {
-                i -= 1;
-            } else {
-                j -= 1;
-            }
-        }
-        couplings.reverse();
-        Alignment::new(couplings, dp[idx(n - 1, m - 1)])
-    }
-
-    fn aggregates_by_sum(&self) -> bool {
-        false
     }
 }
 
@@ -321,30 +238,14 @@ mod tests {
         assert_eq!(SequenceDistance::<Pitch>::max_distance(&d, 100), Some(11.0));
     }
 
-    #[test]
-    fn alignment_cost_matches_distance_and_is_valid() {
-        let d = DiscreteFrechet::new();
-        let a = pitches(&[1, 3, 4, 9, 8, 2, 1, 5]);
-        let b = pitches(&[2, 5, 4, 7, 8, 3, 1]);
-        let al = d.alignment(&a, &b);
-        assert!((al.cost - d.distance(&a, &b)).abs() < 1e-9);
-        assert!(al.is_valid(a.len(), b.len()));
-        assert!(!AlignmentDistance::<Pitch>::aggregates_by_sum(&d));
-    }
-
+    /// Checks Definition 1 itself: the projection of an optimal alignment is
+    /// one witness among the subsequences searched.
     #[test]
     fn consistency_holds_empirically_via_alignment_projection() {
-        let d = DiscreteFrechet::new();
-        let a = pitches(&[0, 2, 4, 5, 7, 9, 11, 9, 7, 5, 4, 2]);
-        let b = pitches(&[0, 1, 4, 6, 7, 9, 10, 9, 8, 5, 3, 2, 0]);
-        let full = d.distance(&a, &b);
-        let al = d.alignment(&a, &b);
-        for start in 0..b.len() {
-            for end in (start + 1)..=b.len() {
-                let a_range = al.a_range_for_b_range(start..end).unwrap();
-                let sub = d.distance(&a[a_range], &b[start..end]);
-                assert!(sub <= full + 1e-9);
-            }
-        }
+        crate::traits::assert_consistent(
+            &DiscreteFrechet::new(),
+            &pitches(&[0, 2, 4, 5, 7, 9, 11, 9, 7, 5, 4, 2]),
+            &pitches(&[0, 1, 4, 6, 7, 9, 10, 9, 8, 5, 3, 2, 0]),
+        );
     }
 }

@@ -2,7 +2,7 @@
 
 use ssr_sequence::Element;
 
-use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::counting::{record_dp_cells, record_lower_bound_prune};
 use crate::end_table::{EndSink, EndSpec};
 use crate::traits::{DistanceProperties, SequenceDistance};
 
@@ -32,15 +32,12 @@ impl<E: Element> SequenceDistance<E> for Hamming {
     }
 
     fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
-        let prune = pruning_enabled();
         if a.len() != b.len() {
             let d = f64::INFINITY;
             if d <= tau {
                 return Some(d);
             }
-            if prune {
-                record_lower_bound_prune();
-            }
+            record_lower_bound_prune();
             return None;
         }
         let mut mismatches = 0u64;
@@ -48,7 +45,7 @@ impl<E: Element> SequenceDistance<E> for Hamming {
         for (x, y) in a.iter().zip(b.iter()) {
             mismatches += u64::from(x != y);
             cells += 1;
-            if prune && crate::counting::exceeds(mismatches as f64, tau) {
+            if crate::counting::exceeds(mismatches as f64, tau) {
                 record_dp_cells(cells);
                 return None;
             }
@@ -69,13 +66,12 @@ impl<E: Element> SequenceDistance<E> for Hamming {
     fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
         let mut sink = EndSink::new(out, ends, a.len(), b.len(), tau);
         sink.row(0, 0..=0, |_| 0.0);
-        let prune = pruning_enabled();
         let mut mismatches = 0u64;
         let mut cells = 0u64;
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             mismatches += u64::from(x != y);
             cells += 1;
-            if prune && crate::counting::exceeds(mismatches as f64, tau) {
+            if crate::counting::exceeds(mismatches as f64, tau) {
                 break;
             }
             sink.row(i + 1, i + 1..=i + 1, |_| mismatches as f64);

@@ -2,11 +2,10 @@
 
 use ssr_sequence::Element;
 
-use crate::alignment::{Alignment, Coupling};
-use crate::counting::{pruning_enabled, record_dp_cells, record_lower_bound_prune};
+use crate::counting::{record_dp_cells, record_lower_bound_prune};
 use crate::end_table::{EndSink, EndSpec};
 use crate::lower_bounds::length_difference_lower_bound;
-use crate::traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
+use crate::traits::{DistanceProperties, SequenceDistance};
 use crate::workspace::DistanceWorkspace;
 
 /// Sentinel for DP cells outside the Ukkonen band. Half of `u32::MAX` so that
@@ -26,8 +25,7 @@ const BAND_INF: u32 = u32::MAX / 2;
 /// step is an indel) with row-minimum early abandoning. All values are exact
 /// integers, so the banded result equals the full DP bit-for-bit whenever the
 /// distance is within the threshold. [`SequenceDistance::distance`] is the
-/// same kernel with `τ = ∞` (full band, no abandoning);
-/// [`AlignmentDistance::alignment`] keeps a full matrix with traceback.
+/// same kernel with `τ = ∞` (full band, no abandoning).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Levenshtein;
 
@@ -51,16 +49,15 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
             let d = n.max(m) as f64;
             return if d <= tau { Some(d) } else { None };
         }
-        let prune = pruning_enabled();
         // Lower bound: every length difference needs at least one indel.
-        if prune && crate::counting::exceeds(length_difference_lower_bound(n, m), tau) {
+        if crate::counting::exceeds(length_difference_lower_bound(n, m), tau) {
             record_lower_bound_prune();
             return None;
         }
         // Ukkonen band half-width: any cell with |i − j| > k has value > τ,
         // so an optimal path of cost ≤ τ never leaves the band. k ≥ |n − m|
         // holds because the lower bound above passed.
-        let k = if prune && tau >= 0.0 && tau.is_finite() {
+        let k = if tau >= 0.0 && tau.is_finite() {
             (tau.floor() as usize).min(n.max(m))
         } else {
             n.max(m)
@@ -96,7 +93,7 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
                 }
                 // Every alignment path crosses row i, and values only grow
                 // along a path, so the final value is at least the row min.
-                if prune && crate::counting::exceeds(f64::from(row_min), tau) {
+                if crate::counting::exceeds(f64::from(row_min), tau) {
                     record_dp_cells(cells);
                     return None;
                 }
@@ -120,8 +117,7 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
         let n = a.len();
         let m = b.len();
         let mut sink = EndSink::new(out, ends, n, m, tau);
-        let prune = pruning_enabled();
-        let k = if prune && tau >= 0.0 && tau.is_finite() {
+        let k = if tau >= 0.0 && tau.is_finite() {
             (tau.floor() as usize).min(n.max(m))
         } else {
             n.max(m)
@@ -154,7 +150,7 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
                 if hi < m {
                     curr[hi + 1] = BAND_INF;
                 }
-                if prune && crate::counting::exceeds(f64::from(row_min), tau) {
+                if crate::counting::exceeds(f64::from(row_min), tau) {
                     break;
                 }
                 let first = if edge_in_band { 0 } else { lo };
@@ -185,66 +181,6 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
     fn max_distance(&self, len: usize) -> Option<f64> {
         // At most max(|a|, |b|) edits are ever needed.
         Some(len as f64)
-    }
-}
-
-impl<E: Element> AlignmentDistance<E> for Levenshtein {
-    fn alignment(&self, a: &[E], b: &[E]) -> Alignment {
-        if a.is_empty() || b.is_empty() {
-            return Alignment::new(Vec::new(), a.len().max(b.len()) as f64);
-        }
-        let n = a.len();
-        let m = b.len();
-        let mut dp = vec![0u32; (n + 1) * (m + 1)];
-        let idx = |i: usize, j: usize| i * (m + 1) + j;
-        for i in 0..=n {
-            dp[idx(i, 0)] = i as u32;
-        }
-        for j in 0..=m {
-            dp[idx(0, j)] = j as u32;
-        }
-        for i in 1..=n {
-            for j in 1..=m {
-                let sub_cost = if a[i - 1] == b[j - 1] { 0 } else { 1 };
-                dp[idx(i, j)] = (dp[idx(i - 1, j - 1)] + sub_cost)
-                    .min(dp[idx(i - 1, j)] + 1)
-                    .min(dp[idx(i, j - 1)] + 1);
-            }
-        }
-        // Traceback into a coupling sequence following the paper's model:
-        // insertions / deletions repeat an element of the other sequence.
-        let mut couplings = Vec::with_capacity(n + m);
-        let mut i = n;
-        let mut j = m;
-        while i > 0 || j > 0 {
-            if i > 0 && j > 0 {
-                let sub_cost = if a[i - 1] == b[j - 1] { 0 } else { 1 };
-                if dp[idx(i, j)] == dp[idx(i - 1, j - 1)] + sub_cost {
-                    couplings.push(Coupling {
-                        a_index: i - 1,
-                        b_index: j - 1,
-                    });
-                    i -= 1;
-                    j -= 1;
-                    continue;
-                }
-            }
-            if i > 0 && dp[idx(i, j)] == dp[idx(i - 1, j)] + 1 {
-                couplings.push(Coupling {
-                    a_index: i - 1,
-                    b_index: j.saturating_sub(1),
-                });
-                i -= 1;
-            } else {
-                couplings.push(Coupling {
-                    a_index: i.saturating_sub(1),
-                    b_index: j - 1,
-                });
-                j -= 1;
-            }
-        }
-        couplings.reverse();
-        Alignment::new(couplings, f64::from(dp[idx(n, m)]))
     }
 }
 
@@ -306,55 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn alignment_cost_equals_distance() {
-        let d = Levenshtein::new();
-        let cases = [
-            ("KITTEN", "SITTING"),
-            ("ACGT", "TGCA"),
-            ("AAAA", "AA"),
-            ("A", "TTTTTT"),
-        ];
-        for (x, y) in cases {
-            let a = sym(x);
-            let b = sym(y);
-            let al = d.alignment(&a, &b);
-            assert_eq!(al.cost, d.distance(&a, &b), "{x} vs {y}");
-            assert!(
-                al.is_valid(a.len(), b.len()),
-                "invalid alignment {x} vs {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn alignment_of_empty_inputs() {
-        let d = Levenshtein::new();
-        let empty: Vec<Symbol> = vec![];
-        let al = d.alignment(&empty, &sym("ABC"));
-        assert_eq!(al.cost, 3.0);
-        assert!(al.couplings.is_empty());
-    }
-
-    #[test]
     fn consistency_every_b_subrange_has_a_cheap_a_subrange() {
-        // Empirical check of Definition 1 using the optimal alignment's
-        // projection, mirroring the proof of Section 4.
-        let d = Levenshtein::new();
-        let a = sym("ACGTTGCAACGGT");
-        let b = sym("TACGTTCCAAGGTT");
-        let full = d.distance(&a, &b);
-        let al = d.alignment(&a, &b);
-        for start in 0..b.len() {
-            for end in (start + 1)..=b.len() {
-                let a_range = al
-                    .a_range_for_b_range(start..end)
-                    .expect("every element of b is coupled");
-                let sub = d.distance(&a[a_range], &b[start..end]);
-                assert!(
-                    sub <= full + 1e-9,
-                    "consistency violated for b[{start}..{end}]: {sub} > {full}"
-                );
-            }
-        }
+        crate::traits::assert_consistent(
+            &Levenshtein::new(),
+            &sym("ACGTTGCAACGGT"),
+            &sym("TACGTTCCAAGGTT"),
+        );
     }
 }

@@ -10,14 +10,14 @@
 //!   subsequence `SQ` of `Q` with `δ(SQ, SX) ≤ δ(Q, X)` (Definition 1), which
 //!   is what makes window-based filtering complete (Lemmas 1–3).
 //!
-//! | Distance | Metric | Consistent | Alignment-based |
-//! |----------------------|--------|------------|-----------------|
-//! | [`Euclidean`]        | yes    | yes        | no (lockstep)   |
-//! | [`Hamming`]          | yes    | yes        | no (lockstep)   |
-//! | [`Levenshtein`]      | yes    | yes        | yes             |
-//! | [`Erp`]              | yes    | yes        | yes             |
-//! | [`DiscreteFrechet`]  | yes    | yes        | yes             |
-//! | [`Dtw`]              | **no** | yes        | yes             |
+//! | Distance | Metric | Consistent |
+//! |----------------------|--------|------------|
+//! | [`Euclidean`]        | yes    | yes        |
+//! | [`Hamming`]          | yes    | yes        |
+//! | [`Levenshtein`]      | yes    | yes        |
+//! | [`Erp`]              | yes    | yes        |
+//! | [`DiscreteFrechet`]  | yes    | yes        |
+//! | [`Dtw`]              | **no** | yes        |
 //!
 //! All distances are generic over the element type through
 //! [`ssr_sequence::Element`], whose `ground_distance` supplies the per-coupling
@@ -35,11 +35,11 @@
 //! what verification needs from one pair of start points. Scratch rows live
 //! in a per-thread [`DistanceWorkspace`], so the hot loop performs no
 //! allocation. The work is observable through deterministic per-thread
-//! tallies ([`dp_cells_thread_total`], [`lower_bound_prunes_thread_total`])
-//! and can be switched off globally for ablations ([`set_pruning_enabled`])
-//! without changing any result.
+//! tallies ([`dp_cells_thread_total`], [`lower_bound_prunes_thread_total`]).
+//! The ablation is a measure of its own: [`Unpruned`] runs the wrapped
+//! kernel's full program and thresholds the finished value, so it answers
+//! exactly as the kernel does at the unpruned cost.
 
-pub mod alignment;
 pub mod counting;
 pub mod dtw;
 pub mod end_table;
@@ -50,12 +50,12 @@ pub mod hamming;
 pub mod levenshtein;
 pub mod lower_bounds;
 pub mod traits;
+mod unpruned;
 pub mod workspace;
 
-pub use alignment::{Alignment, Coupling};
 pub use counting::{
-    dp_cells_thread_total, lower_bound_prunes_thread_total, pruning_enabled, record_dp_cells,
-    record_lower_bound_prune, set_pruning_enabled, CallCounter, CellCounter,
+    dp_cells_thread_total, lower_bound_prunes_thread_total, record_dp_cells,
+    record_lower_bound_prune, CallCounter, CellCounter,
 };
 pub use dtw::Dtw;
 pub use end_table::EndSpec;
@@ -68,5 +68,6 @@ pub use lower_bounds::{
     erp_gap_sum, erp_lower_bound, erp_lower_bound_from_sums, length_difference_lower_bound,
     scan_gap_costs, scan_gap_costs_with, GapCostScan, EXACT_INT_SUM_LIMIT,
 };
-pub use traits::{AlignmentDistance, DistanceProperties, SequenceDistance};
+pub use traits::{DistanceProperties, SequenceDistance};
+pub use unpruned::Unpruned;
 pub use workspace::DistanceWorkspace;

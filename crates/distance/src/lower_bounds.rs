@@ -2,9 +2,9 @@
 //!
 //! Lower bounds allow a caller to discard a candidate pair without running the
 //! full `O(n·m)` dynamic program: if the bound already exceeds the similarity
-//! threshold `ε`, the true distance must too. They are optional accelerators
-//! for the verification step of the framework (step 5) and are benchmarked in
-//! the ablation suite.
+//! threshold `ε`, the true distance must too. The kernels try them before
+//! their programs, and the framework's filter step (step 4) tries them in
+//! front of each index probe.
 
 use ssr_sequence::Element;
 
@@ -19,16 +19,14 @@ pub fn length_difference_lower_bound(a_len: usize, b_len: usize) -> f64 {
 /// a float comparison against a sum may only discard a pair when every term
 /// was integral (`fract() == 0`) **and** the total stays below this limit —
 /// otherwise rounding could flip a borderline comparison. Both the ERP kernel
-/// and the verification cascade's prefix tables apply the same rule.
+/// and the filter step's prefix tables apply the same rule.
 pub const EXACT_INT_SUM_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// Total ground distance of a sequence's elements to the gap element — the
 /// quantity the ERP lower bound compares. Hot paths avoid re-scanning both
 /// inputs per pair: the ERP kernel folds a single scan into its lower-bound /
-/// band decisions and DP boundary rows, the verification cascade uses
-/// per-sequence prefix sums (`O(1)` per range), and the window store keeps
-/// one precomputed sum per indexed window for gap-sum-aware consumers
-/// (diagnostics, future index backends).
+/// band decisions, and the filter step's probe cascade reads per-sequence
+/// prefix sums ([`scan_gap_costs_with`]), `O(1)` per range.
 pub fn erp_gap_sum<E: Element>(xs: &[E]) -> f64 {
     let gap = E::gap();
     xs.iter().map(|x| x.ground_distance(&gap)).sum()
@@ -57,9 +55,9 @@ pub struct GapCostScan {
 /// Scans a sequence's gap costs once, invoking `visit` with the running sum
 /// after each element (so callers can build prefix tables from the same
 /// accumulation the exactness verdict describes). This is the **single**
-/// implementation of the exactness rule — the ERP kernel and the
-/// verification cascade's prefix tables both use it, so they can never
-/// disagree on which pairs are prunable.
+/// implementation of the exactness rule — the ERP kernel and the filter
+/// step's prefix tables both use it, so they can never disagree on which
+/// pairs are prunable.
 pub fn scan_gap_costs_with<E: Element>(xs: &[E], mut visit: impl FnMut(f64)) -> GapCostScan {
     let gap = E::gap();
     let mut scan = GapCostScan {

@@ -2,7 +2,6 @@
 
 use ssr_sequence::Element;
 
-use crate::alignment::Alignment;
 use crate::end_table::EndSpec;
 
 /// Static properties of a distance measure relevant to the framework.
@@ -14,7 +13,11 @@ pub struct DistanceProperties {
     pub metric: bool,
     /// Whether the distance satisfies the consistency property
     /// (Definition 1): for every subsequence of `X` there is a subsequence of
-    /// `Q` at distance no larger than `δ(Q, X)`.
+    /// `Q` at distance no larger than `δ(Q, X)`. Section 4 of the paper
+    /// proves it by restricting an optimal alignment; this crate's tests
+    /// check the definition itself, exhaustively over every pair of
+    /// contiguous subsequences of small inputs (`tests/properties.rs` and a
+    /// fixed case in each kernel's module).
     pub consistent: bool,
     /// Whether the distance tolerates temporal misalignment / gaps. The paper
     /// points out that Euclidean and Hamming are metric and consistent but
@@ -53,9 +56,9 @@ pub trait SequenceDistance<E: Element>: Send + Sync {
     ///
     /// The work performed is observable through
     /// [`crate::counting::dp_cells_thread_total`] and
-    /// [`crate::counting::lower_bound_prunes_thread_total`]; pruning can be
-    /// disabled globally for ablations via
-    /// [`crate::counting::set_pruning_enabled`] without changing any result.
+    /// [`crate::counting::lower_bound_prunes_thread_total`];
+    /// [`crate::Unpruned`] wraps a measure so that it answers the same at the
+    /// cost of its full program, for ablations.
     fn distance_within(&self, a: &[E], b: &[E], tau: f64) -> Option<f64> {
         let d = self.distance(a, b);
         if d <= tau {
@@ -101,9 +104,8 @@ pub trait SequenceDistance<E: Element>: Send + Sync {
     }
 
     /// An **exact** lower bound on `distance(a, b)` computable from the input
-    /// lengths alone; `0.0` when the measure admits none. Used by the
-    /// verification cascade to discard candidate pairs before touching their
-    /// elements.
+    /// lengths alone; `0.0` when the measure admits none. Used by the filter
+    /// step's probe cascade to discard a window before touching its elements.
     fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {
         let _ = (a_len, b_len);
         0.0
@@ -196,22 +198,25 @@ forward_sequence_distance!(std::sync::Arc<D>);
 forward_sequence_distance!(Box<D>);
 forward_sequence_distance!(&D);
 
-/// Distances defined through an optimal alignment (sequence of couplings).
-///
-/// DTW, ERP and the Levenshtein distance minimise the *sum* of coupling costs;
-/// the discrete Fréchet distance minimises the *maximum* coupling cost. The
-/// consistency proof in Section 4 of the paper rests on restricting the optimal
-/// alignment to a subsequence, which [`Alignment::restrict_to_b_range`]
-/// implements; tests use it to validate consistency empirically.
-pub trait AlignmentDistance<E: Element>: SequenceDistance<E> {
-    /// Computes an optimal alignment between `a` and `b` together with its
-    /// cost (which equals `distance(a, b)`).
-    fn alignment(&self, a: &[E], b: &[E]) -> Alignment;
-
-    /// Whether the alignment cost aggregates couplings by summation (`true`)
-    /// or by maximum (`false`, discrete Fréchet).
-    fn aggregates_by_sum(&self) -> bool {
-        true
+#[cfg(test)]
+/// Definition 1, checked by its definition on one fixed pair: for every
+/// contiguous `y' ⊆ y` some contiguous `x' ⊆ x`, the empty one included, has
+/// `δ(x', y') ≤ δ(x, y)`. Every `x'` is tried until one is found, so no
+/// alignment is trusted. `tests/properties.rs` runs the same check on random
+/// inputs.
+pub(crate) fn assert_consistent<E: Element, D: SequenceDistance<E>>(d: &D, x: &[E], y: &[E]) {
+    let full = d.distance(x, y);
+    for ys in 0..y.len() {
+        for ye in ys + 1..=y.len() {
+            let witness = (0..=x.len())
+                .flat_map(|xs| (xs..=x.len()).map(move |xe| (xs, xe)))
+                .any(|(xs, xe)| d.distance(&x[xs..xe], &y[ys..ye]) <= full + 1e-9);
+            assert!(
+                witness,
+                "{}: no subsequence of {x:?} within {full} of {y:?}[{ys}..{ye}]",
+                d.name()
+            );
+        }
     }
 }
 

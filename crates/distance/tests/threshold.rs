@@ -3,14 +3,15 @@
 //! `d` **bit-identical** to `distance(a, b)` whenever the distance is within
 //! `τ`, and `None` must imply the distance exceeds `τ` — including at the
 //! adversarial band boundary `|len(a) − len(b)| ≈ τ` where an off-by-one in
-//! the Ukkonen band would first show.
-
-mod common;
+//! the Ukkonen band would first show. Every end table must equal its
+//! measure's kernel slot by slot, and the [`Unpruned`] ablation of a measure
+//! must answer exactly as the measure does while doing the full work.
 
 use proptest::prelude::*;
 
 use ssr_distance::{
-    DiscreteFrechet, Dtw, EndSpec, Erp, Euclidean, Hamming, Levenshtein, SequenceDistance,
+    dp_cells_thread_total, lower_bound_prunes_thread_total, DiscreteFrechet, DistanceProperties,
+    Dtw, EndSpec, Erp, Euclidean, Hamming, Levenshtein, SequenceDistance, Unpruned,
 };
 use ssr_sequence::{Element, Pitch, Point2D, Symbol};
 
@@ -63,13 +64,101 @@ where
     }
 }
 
+/// The six built-in measures.
+fn measures<E: Element>() -> [Box<dyn SequenceDistance<E>>; 6] {
+    [
+        Box::new(Levenshtein::new()),
+        Box::new(Erp::new()),
+        Box::new(Dtw::new()),
+        Box::new(DiscreteFrechet::new()),
+        Box::new(Euclidean::new()),
+        Box::new(Hamming::new()),
+    ]
+}
+
+/// The contract for every measure and for its [`Unpruned`] ablation.
 fn check_all_distances<E: Element>(a: &[E], b: &[E]) {
-    assert_threshold_contract(&Levenshtein::new(), a, b);
-    assert_threshold_contract(&Erp::new(), a, b);
-    assert_threshold_contract(&Dtw::new(), a, b);
-    assert_threshold_contract(&DiscreteFrechet::new(), a, b);
-    assert_threshold_contract(&Euclidean::new(), a, b);
-    assert_threshold_contract(&Hamming::new(), a, b);
+    for dist in measures() {
+        assert_threshold_contract(&dist, a, b);
+        assert_threshold_contract(&Unpruned(&dist), a, b);
+    }
+}
+
+/// A measure that defines nothing but `distance`, as a foreign one may: its
+/// end table is the trait's default, built on the default `distance_within`.
+struct OnlyDistance<D>(D);
+
+impl<E: Element, D: SequenceDistance<E>> SequenceDistance<E> for OnlyDistance<D> {
+    fn distance(&self, a: &[E], b: &[E]) -> f64 {
+        self.0.distance(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        "only-distance"
+    }
+
+    fn properties(&self) -> DistanceProperties {
+        self.0.properties()
+    }
+}
+
+/// Thresholds for a table over inputs at distance `full`: zero, small, at
+/// and beside the band boundary `|len(a) − len(b)|`, at and beside `full`,
+/// and the degenerate ones.
+fn table_taus(full: f64, len_diff: usize) -> Vec<f64> {
+    let edge = len_diff as f64;
+    let mut taus = vec![
+        0.0,
+        1.0,
+        2.5,
+        edge - 1e-9,
+        edge,
+        edge + 1.0,
+        f64::INFINITY,
+        f64::NAN,
+        -1.0,
+    ];
+    if full.is_finite() {
+        taus.extend([full / 2.0, full - 1e-9, full, full + 0.5]);
+    }
+    taus
+}
+
+/// The end-table contract: every slot of [`SequenceDistance::end_table`]
+/// equals `distance_within(&a[..i], &b[..j], τ)` bit for bit, `∞` standing
+/// for `None` and for the slots beyond the length-difference bound.
+fn assert_end_table<E: Element, D: SequenceDistance<E>>(dist: &D, a: &[E], b: &[E], ends: EndSpec) {
+    let mut out = vec![f64::NAN; ends.slots(a.len(), b.len())];
+    for tau in table_taus(dist.distance(a, b), a.len().abs_diff(b.len())) {
+        dist.end_table(a, b, ends, tau, &mut out);
+        for i in ends.min_a..=a.len() {
+            for j in ends.min_b..=b.len() {
+                let expected = if i.abs_diff(j) <= ends.max_len_diff {
+                    dist.distance_within(&a[..i], &b[..j], tau)
+                        .unwrap_or(f64::INFINITY)
+                } else {
+                    f64::INFINITY
+                };
+                let got = out[ends.slot(b.len(), i, j)];
+                assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{}: slot ({i}, {j}) of {ends:?} at tau {tau} holds {got}, the kernel says {expected}",
+                    dist.name()
+                );
+            }
+        }
+    }
+}
+
+/// Checks the tables of all six measures, of their [`Unpruned`] ablations,
+/// and the default one, over `(a, b)` for the given end ranges.
+fn check_end_tables<E: Element>(a: &[E], b: &[E], ends: EndSpec) {
+    for dist in measures() {
+        assert_end_table(&dist, a, b, ends);
+        assert_end_table(&Unpruned(&dist), a, b, ends);
+    }
+    assert_end_table(&OnlyDistance(Erp::new()), a, b, ends);
 }
 
 fn symbol_seq(max_len: usize) -> impl Strategy<Value = Vec<Symbol>> {
@@ -114,22 +203,22 @@ proptest! {
 
     #[test]
     fn end_tables_on_symbols(a in symbol_seq(14), b in symbol_seq(14), seed in end_seed()) {
-        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+        check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
     }
 
     #[test]
     fn end_tables_on_pitches(a in pitch_seq(12), b in pitch_seq(12), seed in end_seed()) {
-        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+        check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
     }
 
     #[test]
     fn end_tables_on_scalars(a in scalar_seq(10), b in scalar_seq(10), seed in end_seed()) {
-        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+        check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
     }
 
     #[test]
     fn end_tables_on_trajectories(a in point_seq(10), b in point_seq(10), seed in end_seed()) {
-        common::check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
+        check_end_tables(&a, &b, end_spec(a.len(), b.len(), seed));
     }
 
     #[test]
@@ -175,11 +264,12 @@ proptest! {
     }
 }
 
+fn sym(text: &str) -> Vec<Symbol> {
+    text.chars().map(Symbol::from_char).collect()
+}
+
 #[test]
 fn fixed_band_boundary_cases() {
-    fn sym(text: &str) -> Vec<Symbol> {
-        text.chars().map(Symbol::from_char).collect()
-    }
     let lev = Levenshtein::new();
     // d = 3 (three appended characters): the band of width ⌊τ⌋ must still
     // reach the corner cell exactly at τ = 3.
@@ -207,10 +297,6 @@ fn fixed_band_boundary_cases() {
 
 #[test]
 fn dp_cell_tallies_shrink_under_tight_thresholds() {
-    use ssr_distance::dp_cells_thread_total;
-    fn sym(text: &str) -> Vec<Symbol> {
-        text.chars().map(Symbol::from_char).collect()
-    }
     let lev = Levenshtein::new();
     let a = sym("ACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWY");
     let b = sym("WYACMMMMGHIKLMNPQRSTVWYACDEFGHIMMMMQRSTV");
@@ -226,4 +312,53 @@ fn dp_cell_tallies_shrink_under_tight_thresholds() {
         banded_cells * 3 <= full_cells,
         "banded + abandoned run used {banded_cells} of {full_cells} cells"
     );
+}
+
+/// The ablation changes the work, never a result: at every threshold
+/// `Unpruned(d)` answers as `d` does, bit for bit, fills exactly the cells
+/// of `d`'s full program and tries no lower bound.
+#[test]
+fn disabling_pruning_changes_work_but_never_results() {
+    let a = sym("ACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWY");
+    let b = sym("WYACMMMMGHIKLMNPQRSTVWYACDEFGHIMMMMQRSTV");
+    for dist in measures() {
+        let before = dp_cells_thread_total();
+        dist.distance(&a, &b);
+        let full_cells = dp_cells_thread_total() - before;
+        for tau in [
+            0.0,
+            1.0,
+            2.0,
+            4.0,
+            10.0,
+            40.0,
+            f64::INFINITY,
+            f64::NAN,
+            -1.0,
+        ] {
+            let (cells, prunes) = (dp_cells_thread_total(), lower_bound_prunes_thread_total());
+            let unpruned = Unpruned(&dist).distance_within(&a, &b, tau);
+            assert_eq!(
+                dp_cells_thread_total() - cells,
+                full_cells,
+                "{} at {tau}",
+                dist.name()
+            );
+            assert_eq!(
+                lower_bound_prunes_thread_total(),
+                prunes,
+                "{} at {tau}",
+                dist.name()
+            );
+            assert_eq!(
+                unpruned.map(f64::to_bits),
+                dist.distance_within(&a, &b, tau).map(f64::to_bits),
+                "{} at {tau}",
+                dist.name()
+            );
+        }
+    }
+    let before = dp_cells_thread_total();
+    Unpruned(Levenshtein::new()).distance_within(&a, &b, 2.0);
+    assert_eq!(dp_cells_thread_total() - before, (a.len() * b.len()) as u64);
 }

@@ -15,9 +15,9 @@
 //! # Configuration
 //!
 //! Failpoints are configured programmatically ([`configure`]), from a spec
-//! string ([`configure_str`] — what `ssr serve --failpoint` and
-//! `bench --chaos` pass through), or from the [`ENV_FAILPOINTS`] environment
-//! variable ([`init_from_env`], which binaries call once at startup):
+//! string ([`configure_str`] — what `ssr serve --failpoint` passes
+//! through), or from the [`ENV_FAILPOINTS`] environment variable
+//! ([`init_from_env`], which binaries call once at startup):
 //!
 //! ```text
 //! SSR_FAILPOINTS="wal.append=nth-3:partial-5;serve.worker=every-2:panic"

@@ -11,19 +11,19 @@
 //!   records cheap enough for the hot path, collected into a bounded ring of
 //!   recent events and rendered as an indented span tree for slow-query
 //!   logs;
-//! * a process-wide **kill switch** ([`set_enabled`]) so the bench harness
-//!   can measure the instrumentation's own wall-clock overhead by comparing
-//!   an enabled run against a no-op run of the same workload.
+//! * a process-wide **kill switch** ([`set_enabled`]), which the benchmark's
+//!   `obs.overhead_frac` row throws to time the same queries with recording
+//!   on and off.
 //!
 //! Everything here is *observation only*: nothing in this crate feeds back
 //! into query execution, so results and the deterministic per-query
 //! statistics ([`QueryStats`]-style counters upstream) are bit-identical
 //! whether telemetry is enabled, disabled, or absent.
 //!
-//! The histogram's bucketing is the exact log2 scheme the bench load
-//! generator always used (bucket 0 absorbs values `<= 1`, bucket *i* covers
-//! `(2^(i-1), 2^i]`), promoted here so the server and the load generator
-//! bin latencies identically and their percentiles can be cross-checked.
+//! The histograms bucket by log2 (bucket 0 absorbs values `<= 1`, bucket
+//! *i* covers `(2^(i-1), 2^i]`), so a scraped percentile's bucket edge
+//! bounds the exact one: `serve_parity.rs` cross-checks the server's p99
+//! against the client's that way.
 //!
 //! [`QueryStats`]: Registry
 
@@ -46,8 +46,8 @@ static OBS_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables telemetry recording. With recording off,
 /// every [`Counter::add`], [`Gauge::set`] and [`Histogram::observe`] is a
-/// single relaxed load and an early return — the no-op baseline the bench
-/// `--max-obs-overhead` gate compares against. Reading ([`Counter::get`],
+/// single relaxed load and an early return — the no-op side of the
+/// benchmark's `obs.overhead_frac` row. Reading ([`Counter::get`],
 /// [`Registry::render`], …) is never gated.
 pub fn set_enabled(on: bool) {
     OBS_ENABLED.store(on, Ordering::Relaxed);

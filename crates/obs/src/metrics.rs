@@ -16,9 +16,8 @@ use std::sync::{Arc, Mutex};
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// The log2 bucket of a value: bucket `0` absorbs `value <= 1`, bucket `i`
-/// (for `i >= 1`) covers `(2^(i-1), 2^i]`. This is the exact bucketing the
-/// bench load generator has always applied to microsecond latencies; it
-/// lives here so every layer bins identically.
+/// (for `i >= 1`) covers `(2^(i-1), 2^i]`. It lives here so every layer
+/// bins identically, and `serve_parity.rs` reads the scraped edges back.
 pub fn log2_bucket(value: u64) -> usize {
     if value <= 1 {
         0
@@ -40,7 +39,7 @@ pub fn bucket_upper_edge(bucket: usize) -> u64 {
 /// Lower edge of a histogram bucket: every value binned into `bucket` is
 /// strictly greater than this (except bucket 0, whose lower edge is 0).
 /// This is what makes a scraped histogram's percentile a safe *lower bound*
-/// on the true percentile — the cross-check `bench --serve` runs against
+/// on the true percentile — the cross-check `serve_parity.rs` runs against
 /// the client-side exact percentile.
 pub fn bucket_lower_edge(bucket: usize) -> u64 {
     if bucket == 0 {
