@@ -1,11 +1,17 @@
 //! Step 5b reads every pair's distance from the end table of its start pair
 //! instead of running the kernel on the pair. These tests hold that to the
 //! definition: every reported distance is bit-equal to `D.distance(SQ, SX)`
-//! on the reported ranges, for each kind of built-in program (banded
-//! integer, banded float, sum, bottleneck, lockstep); a Type I answer is the
-//! brute-force answer on inputs small enough to enumerate; and the
+//! on the reported ranges, for each kind of built-in program (bit-vector,
+//! banded integer, banded float, sum, bottleneck, lockstep); a Type I answer
+//! is the brute-force answer on inputs small enough to enumerate; and the
 //! verification budget is charged per pair asked about — a start pair with
 //! nothing within the radius once, whatever number of pairs it stands for.
+//!
+//! "Bit-equal" is against `D.distance` of the same build. On points the
+//! ground distance is `√(dx² + dy²)` (`hypot` only where the sum of squares
+//! is not a normal number), so the bits pinned are that rule's, not
+//! `hypot`'s: every reported trajectory distance's low bits moved once when
+//! it replaced `hypot`.
 
 use std::collections::BTreeSet;
 

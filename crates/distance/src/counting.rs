@@ -38,9 +38,13 @@ pub(crate) fn exceeds(value: f64, tau: f64) -> bool {
 
 /// Records `n` dynamic-program cell evaluations on the current thread's tally.
 ///
-/// The distance kernels call this once per evaluation with the number of
-/// recurrence cells they actually filled (elements processed, for the
-/// lockstep distances), so `dp_cells_evaluated` statistics are deterministic
+/// A cell counts when the program determined its value: the recurrence
+/// cells a row-by-row kernel filled (elements processed, for the lockstep
+/// distances), and `m` for each word step of Levenshtein's bit-vector
+/// program over an `m`-element pattern — one step determines a whole column
+/// of the table, band or not. A full program therefore counts `n·m` either
+/// way. The distance kernels call this once per evaluation, so
+/// `dp_cells_evaluated` statistics are deterministic
 /// and bit-reproducible at every thread count when read as before/after
 /// deltas of [`dp_cells_thread_total`] — the same attribution scheme as
 /// [`CallCounter::thread_total`].

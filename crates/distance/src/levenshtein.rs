@@ -1,4 +1,29 @@
 //! Levenshtein (edit) distance with unit costs.
+//!
+//! Two exact programs compute it; a call runs one of them, chosen by `b`
+//! alone:
+//!
+//! * **Bit-vector** (Myers, JACM 1999, in Hyyrö's global-distance form),
+//!   whenever `b` has 1 to 64 elements and they carry an
+//!   [`Element::small_code`]. `b` is the pattern: bit `j − 1` of a word
+//!   stands for its prefix of length `j`, and each element of `a` is one
+//!   word step. After step `i` two words `VP` / `VN` hold the `+1` / `−1`
+//!   vertical deltas of the column `D[i][0..=m]`, so every cell of it reads
+//!   `D[i][j] = i + popcount(VP & low(j)) − popcount(VN & low(j))`.
+//!   `distance_within` tracks `D[i][m]` at the top bit; `end_table` reads
+//!   the wanted slots of each row straight from the words. Abandoning is
+//!   exact: a step ends the program when no cell of its column within the
+//!   Ukkonen band is `≤ τ` (looked for only once the diagonal cell exceeds
+//!   `τ`, as the minimum is at most that cell), and `distance_within` also
+//!   when `D[i][m] − (n − i) > τ`, as the last column moves by at most one a
+//!   step.
+//! * **Banded** (Ukkonen), for everything else — patterns over 64 elements,
+//!   and element types without a code: cells with `|i − j| > ⌊τ⌋` cost more
+//!   than `τ` because every off-diagonal step is an indel, and a row whose
+//!   minimum exceeds `τ` ends the program.
+//!
+//! Both give the exact integer distance, so they agree bit for bit on every
+//! input either can take.
 
 use ssr_sequence::Element;
 
@@ -12,6 +37,9 @@ use crate::workspace::DistanceWorkspace;
 /// `BAND_INF + 1` can never wrap.
 const BAND_INF: u32 = u32::MAX / 2;
 
+/// The longest pattern the bit-vector program takes: one bit per element.
+const WORD_BITS: usize = u64::BITS as usize;
+
 /// The Levenshtein distance: the minimum number of single-element insertions,
 /// deletions and substitutions needed to transform one sequence into another.
 ///
@@ -20,12 +48,11 @@ const BAND_INF: u32 = u32::MAX / 2;
 /// which makes it suitable for the framework on string data (Section 5).
 ///
 /// [`SequenceDistance::distance_within`] is the threshold-aware kernel: a
-/// length-difference lower bound, then a Ukkonen-style banded dynamic program
-/// (cells with `|i − j| > ⌊τ⌋` cost more than `τ` because every off-diagonal
-/// step is an indel) with row-minimum early abandoning. All values are exact
-/// integers, so the banded result equals the full DP bit-for-bit whenever the
-/// distance is within the threshold. [`SequenceDistance::distance`] is the
-/// same kernel with `τ = ∞` (full band, no abandoning).
+/// length-difference lower bound, then one of the two exact programs of the
+/// [module](self) — the bit-vector one for patterns of up to 64 coded
+/// elements, the banded one otherwise — each with its own exact abandon.
+/// [`SequenceDistance::distance`] is the same kernel with `τ = ∞` (no
+/// abandoning).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Levenshtein;
 
@@ -34,6 +61,199 @@ impl Levenshtein {
     pub fn new() -> Self {
         Levenshtein
     }
+}
+
+/// Ukkonen band half-width for threshold `tau`: any cell with `|i − j| > k`
+/// has value `> τ`, so an optimal path of cost `≤ τ` never leaves the band.
+fn band(tau: f64, n: usize, m: usize) -> usize {
+    if tau >= 0.0 && tau.is_finite() {
+        (tau.floor() as usize).min(n.max(m))
+    } else {
+        n.max(m)
+    }
+}
+
+/// The largest integer distance within `tau`; `−1` when there is none (a
+/// negative or NaN threshold). `∞` saturates to `i64::MAX`.
+fn limit(tau: f64) -> i64 {
+    if tau >= 0.0 {
+        tau.floor() as i64
+    } else {
+        -1
+    }
+}
+
+/// `low(j)`: the bits standing for the pattern prefixes of lengths `1..=j`.
+#[inline]
+fn low(j: usize) -> u64 {
+    if j == 0 {
+        0
+    } else {
+        u64::MAX >> (WORD_BITS - j)
+    }
+}
+
+/// Runs `program` with the match masks of pattern `b` — bit `j` of
+/// `masks[c]` set when `b[j]` has code `c` — taken from the thread's
+/// workspace and cleared afterwards. `None`, and no program run, when `b`
+/// is not a pattern the bit-vector program takes.
+#[inline]
+fn with_masks<E: Element, R>(b: &[E], program: impl FnOnce(&[u64; 256]) -> R) -> Option<R> {
+    if b.is_empty() || b.len() > WORD_BITS {
+        return None;
+    }
+    DistanceWorkspace::with(|ws| {
+        let masks = ws.masks();
+        for (j, element) in b.iter().enumerate() {
+            let Some(code) = element.small_code() else {
+                clear(masks, &b[..j]);
+                return None;
+            };
+            masks[usize::from(code)] |= 1 << j;
+        }
+        let result = program(masks);
+        clear(masks, b);
+        Some(result)
+    })
+}
+
+/// Zeroes the masks of the codes of `elements`.
+#[inline]
+fn clear<E: Element>(masks: &mut [u64; 256], elements: &[E]) {
+    for element in elements {
+        if let Some(code) = element.small_code() {
+            masks[usize::from(code)] = 0;
+        }
+    }
+}
+
+/// The match mask of a text element: the pattern positions it equals. A
+/// type codes every value or none, so a pattern with codes means a text
+/// with codes.
+#[inline]
+fn mask_of<E: Element>(masks: &[u64; 256], element: &E) -> u64 {
+    element
+        .small_code()
+        .map_or(0, |code| masks[usize::from(code)])
+}
+
+/// The column `D[i][0..=m]` of the edit-distance table as the bit-vector
+/// program keeps it: bit `j − 1` of `vp` / `vn` is set when
+/// `D[i][j] − D[i][j − 1]` is `+1` / `−1`. Bits at and above `m` hold
+/// garbage that never reaches the bits below (carries and shifts only move
+/// up), and no read looks at them.
+struct Column {
+    vp: u64,
+    vn: u64,
+    i: usize,
+}
+
+impl Column {
+    /// Row 0: `D[0][j] = j`, every delta `+1`.
+    fn first() -> Self {
+        Column {
+            vp: u64::MAX,
+            vn: 0,
+            i: 0,
+        }
+    }
+
+    /// One word step: the column after one more element of `a`, whose match
+    /// mask is `eq`. Returns the change of `D[·][top + 1]`.
+    #[inline]
+    fn step(&mut self, eq: u64, top: usize) -> i64 {
+        let xv = eq | self.vn;
+        let xh = ((eq & self.vp).wrapping_add(self.vp) ^ self.vp) | eq;
+        let ph = self.vn | !(xh | self.vp);
+        let mh = self.vp & xh;
+        let delta = ((ph >> top) & 1) as i64 - ((mh >> top) & 1) as i64;
+        // Row 0 of the global program grows by one a step: shift in a +1.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        self.vp = mh | !(xv | ph);
+        self.vn = ph & xv;
+        self.i += 1;
+        delta
+    }
+
+    /// `D[i][j]`.
+    #[inline]
+    fn cell(&self, j: usize) -> i64 {
+        let mask = low(j);
+        self.i as i64 + i64::from((self.vp & mask).count_ones())
+            - i64::from((self.vn & mask).count_ones())
+    }
+
+    /// Whether no cell of this column is `≤ limit`, over a pattern of `m`
+    /// elements with band half-width `k`. Every path to the last row crosses
+    /// this column, and values only grow along a path, so then none ends
+    /// within `limit` either. Only the band `|i − j| ≤ k` is read: a cell
+    /// outside it is above the limit already.
+    #[inline]
+    fn abandons(&self, m: usize, k: usize, limit: i64) -> bool {
+        if self.cell(self.i.min(m)) <= limit {
+            return false;
+        }
+        let (lo, hi) = (self.i.saturating_sub(k), m.min(self.i + k));
+        if lo > hi {
+            return true;
+        }
+        let mut value = self.cell(lo);
+        for j in lo..hi {
+            if value <= limit {
+                return false;
+            }
+            value += ((self.vp >> j) & 1) as i64 - ((self.vn >> j) & 1) as i64;
+        }
+        value > limit
+    }
+}
+
+/// The bit-vector [`SequenceDistance::distance_within`] over a pattern of
+/// `m` elements whose masks are `masks`.
+fn bit_vector_within<E: Element>(
+    masks: &[u64; 256],
+    a: &[E],
+    m: usize,
+    k: usize,
+    limit: i64,
+) -> Option<f64> {
+    let n = a.len();
+    let mut column = Column::first();
+    let mut score = m as i64;
+    for element in a {
+        score += column.step(mask_of(masks, element), m - 1);
+        // The last cell moves by at most one a step, so `score − (n − i)`
+        // bounds the distance from below.
+        if score - ((n - column.i) as i64) > limit || column.abandons(m, k, limit) {
+            record_dp_cells((column.i * m) as u64);
+            return None;
+        }
+    }
+    record_dp_cells((n * m) as u64);
+    (score <= limit).then_some(score as f64)
+}
+
+/// The bit-vector [`SequenceDistance::end_table`]: every row up to the
+/// abandon handed to the sink, its wanted cells read from the words.
+fn bit_vector_end_table<E: Element>(
+    masks: &[u64; 256],
+    a: &[E],
+    m: usize,
+    k: usize,
+    limit: i64,
+    sink: &mut EndSink<'_>,
+) {
+    let mut column = Column::first();
+    sink.row(0, 0..=m, |j| j as f64);
+    for element in a {
+        column.step(mask_of(masks, element), m - 1);
+        if column.abandons(m, k, limit) {
+            break;
+        }
+        sink.row(column.i, 0..=m, |j| column.cell(j) as f64);
+    }
+    record_dp_cells((column.i * m) as u64);
 }
 
 impl<E: Element> SequenceDistance<E> for Levenshtein {
@@ -54,14 +274,11 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
             record_lower_bound_prune();
             return None;
         }
-        // Ukkonen band half-width: any cell with |i − j| > k has value > τ,
-        // so an optimal path of cost ≤ τ never leaves the band. k ≥ |n − m|
-        // holds because the lower bound above passed.
-        let k = if tau >= 0.0 && tau.is_finite() {
-            (tau.floor() as usize).min(n.max(m))
-        } else {
-            n.max(m)
-        };
+        // k ≥ |n − m| holds because the lower bound above passed.
+        let k = band(tau, n, m);
+        if let Some(within) = with_masks(b, |masks| bit_vector_within(masks, a, m, k, limit(tau))) {
+            return within;
+        }
         DistanceWorkspace::with(|ws| {
             let (prev, curr) = ws.u32_rows(m + 1, BAND_INF);
             // Row 0 of the (n+1) × (m+1) matrix, restricted to the band.
@@ -109,19 +326,24 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
         })
     }
 
-    /// The banded program of [`Self::distance_within`] over all of `a` and
-    /// `b`, every row handed to the sink. A cell inside the band holds its
-    /// prefix pair's exact distance whenever that is `≤ τ` (a path of cost
-    /// `≤ τ` never leaves the band), and a value above `τ` otherwise.
+    /// The program of [`Self::distance_within`] over all of `a` and `b`,
+    /// every row up to its abandon handed to the sink. In the banded
+    /// program a cell inside the band holds its prefix pair's exact distance
+    /// whenever that is `≤ τ` (a path of cost `≤ τ` never leaves the band),
+    /// and a value above `τ` otherwise; the bit-vector program reads every
+    /// cell exactly.
     fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
         let n = a.len();
         let m = b.len();
         let mut sink = EndSink::new(out, ends, n, m, tau);
-        let k = if tau >= 0.0 && tau.is_finite() {
-            (tau.floor() as usize).min(n.max(m))
-        } else {
-            n.max(m)
-        };
+        let k = band(tau, n, m);
+        if with_masks(b, |masks| {
+            bit_vector_end_table(masks, a, m, k, limit(tau), &mut sink)
+        })
+        .is_some()
+        {
+            return;
+        }
         DistanceWorkspace::with(|ws| {
             let (prev, curr) = ws.u32_rows(m + 1, BAND_INF);
             for (j, cell) in prev.iter_mut().enumerate().take(m.min(k) + 1) {

@@ -19,13 +19,27 @@ thread_local! {
 ///
 /// The buffers keep their capacity between calls; [`Self::f64_rows`] and
 /// [`Self::u32_rows`] re-initialise length and contents, so a kernel never
-/// observes another kernel's leftovers.
-#[derive(Debug, Default)]
+/// observes another kernel's leftovers. The match-mask table is all zeros
+/// between calls: the one kernel that writes it clears what it wrote.
+#[derive(Debug)]
 pub struct DistanceWorkspace {
     f64_a: Vec<f64>,
     f64_b: Vec<f64>,
     u32_a: Vec<u32>,
     u32_b: Vec<u32>,
+    masks: [u64; 256],
+}
+
+impl Default for DistanceWorkspace {
+    fn default() -> Self {
+        DistanceWorkspace {
+            f64_a: Vec::new(),
+            f64_b: Vec::new(),
+            u32_a: Vec::new(),
+            u32_b: Vec::new(),
+            masks: [0; 256],
+        }
+    }
 }
 
 impl DistanceWorkspace {
@@ -67,6 +81,13 @@ impl DistanceWorkspace {
         self.u32_b.clear();
         self.u32_b.resize(len, fill);
         (&mut self.u32_a, &mut self.u32_b)
+    }
+
+    /// A 256-entry table of bit masks, one per
+    /// [`small_code`](ssr_sequence::Element::small_code), all zeros on
+    /// entry; the caller must leave it all zeros again.
+    pub(crate) fn masks(&mut self) -> &mut [u64; 256] {
+        &mut self.masks
     }
 }
 

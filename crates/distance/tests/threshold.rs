@@ -6,6 +6,13 @@
 //! the Ukkonen band would first show. Every end table must equal its
 //! measure's kernel slot by slot, and the [`Unpruned`] ablation of a measure
 //! must answer exactly as the measure does while doing the full work.
+//! Levenshtein's bit-vector program is held to its banded one the same way.
+//!
+//! Every `to_bits` here compares two evaluations by the same build. On
+//! points, the ground distance under them is `√(dx² + dy²)`, with `hypot`
+//! only where the sum of squares is not a normal number; its low bits are
+//! not `hypot`'s, and every point distance's moved once when it replaced
+//! `hypot`.
 
 use proptest::prelude::*;
 
@@ -361,4 +368,147 @@ fn disabling_pruning_changes_work_but_never_results() {
     let before = dp_cells_thread_total();
     Unpruned(Levenshtein::new()).distance_within(&a, &b, 2.0);
     assert_eq!(dp_cells_thread_total() - before, (a.len() * b.len()) as u64);
+}
+
+/// A symbol without a [`Element::small_code`]: Levenshtein over it runs the
+/// banded program on inputs the bit-vector program takes as [`Symbol`]s.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Uncoded(Symbol);
+
+impl Element for Uncoded {
+    fn ground_distance(&self, other: &Self) -> f64 {
+        self.0.ground_distance(&other.0)
+    }
+
+    fn gap() -> Self {
+        Uncoded(Symbol::gap())
+    }
+}
+
+/// splitmix64: a fixed stream of test inputs.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn random_symbols(state: &mut u64, len: usize, alphabet: &[u8]) -> Vec<Symbol> {
+    (0..len)
+        .map(|_| Symbol(alphabet[next(state) as usize % alphabet.len()]))
+        .collect()
+}
+
+/// `b` after a few random substitutions, insertions and deletions, at most
+/// 70 symbols long: a text within small thresholds of the pattern.
+fn edited(state: &mut u64, b: &[Symbol], alphabet: &[u8]) -> Vec<Symbol> {
+    let mut a = b.to_vec();
+    for _ in 0..next(state) % 6 {
+        let at = next(state) as usize % (a.len() + 1);
+        let symbol = Symbol(alphabet[next(state) as usize % alphabet.len()]);
+        match next(state) % 3 {
+            0 if at < a.len() => a[at] = symbol,
+            1 if at < a.len() => {
+                a.remove(at);
+            }
+            _ => a.insert(at, symbol),
+        }
+    }
+    a.truncate(70);
+    a
+}
+
+/// The bit-vector program against the banded one, its oracle: for every
+/// pattern length 0..=70 (so 63, 64 and 65 all occur), on random and on
+/// nearby texts, `distance_within` agrees in `Some` / `None` and by
+/// `to_bits`, and the end tables of the three shapes the framework asks
+/// for — the family column, the verifier's diagonals, the full table —
+/// agree slot for slot.
+#[test]
+fn bit_vector_program_matches_the_banded_program() {
+    let lev = Levenshtein::new();
+    let taus = [
+        -1.0,
+        f64::NAN,
+        0.0,
+        0.5,
+        1.0,
+        2.0,
+        4.0,
+        10.0,
+        64.0,
+        f64::INFINITY,
+    ];
+    let mut state = 34;
+    for m in 0..=70 {
+        for (round, alphabet) in [&b"ACGT"[..], b"ACDEFGHIKLMNPQRSTVWY", b"AB"]
+            .into_iter()
+            .enumerate()
+        {
+            let b = random_symbols(&mut state, m, alphabet);
+            let a = if round == 1 {
+                let n = next(&mut state) as usize % 71;
+                random_symbols(&mut state, n, alphabet)
+            } else {
+                edited(&mut state, &b, alphabet)
+            };
+            let (ua, ub): (Vec<_>, Vec<_>) = (
+                a.iter().copied().map(Uncoded).collect(),
+                b.iter().copied().map(Uncoded).collect(),
+            );
+            let (n, lambda) = (a.len(), a.len().min(m) / 2);
+            let shapes = [
+                EndSpec {
+                    min_a: n / 2,
+                    min_b: m,
+                    max_len_diff: usize::MAX,
+                },
+                EndSpec {
+                    min_a: lambda,
+                    min_b: lambda,
+                    max_len_diff: 2,
+                },
+                EndSpec {
+                    min_a: 0,
+                    min_b: 0,
+                    max_len_diff: usize::MAX,
+                },
+            ];
+            for tau in taus {
+                let (bits, banded) = (
+                    lev.distance_within(&a, &b, tau),
+                    lev.distance_within(&ua, &ub, tau),
+                );
+                assert_eq!(
+                    bits.map(f64::to_bits),
+                    banded.map(f64::to_bits),
+                    "distance_within, |a| = {n}, |b| = {m}, tau {tau}"
+                );
+                for ends in shapes {
+                    let mut bits = vec![f64::NAN; ends.slots(n, m)];
+                    let mut banded = bits.clone();
+                    lev.end_table(&a, &b, ends, tau, &mut bits);
+                    lev.end_table(&ua, &ub, ends, tau, &mut banded);
+                    assert_eq!(
+                        bits.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                        banded.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                        "{ends:?}, |a| = {n}, |b| = {m}, tau {tau}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The contract of [`Element::small_code`] for [`Symbol`]: a code for every
+/// value, and distinct symbols, distinct codes.
+#[test]
+fn symbol_codes_are_injective() {
+    let mut seen = [false; 256];
+    for byte in 0..=u8::MAX {
+        let code = Symbol(byte).small_code().expect("every symbol has a code");
+        assert!(!seen[usize::from(code)], "code {code} given twice");
+        seen[usize::from(code)] = true;
+    }
 }

@@ -37,6 +37,18 @@ pub trait Element: Clone + PartialEq + fmt::Debug {
     fn max_ground_distance() -> Option<f64> {
         None
     }
+
+    /// A one-byte code for this element, if its type has one.
+    ///
+    /// The contract: equal codes ⟺ equal elements, and a type gives a code
+    /// to every one of its values or to none. A kernel over a small alphabet
+    /// may then index a 256-entry table by code instead of comparing
+    /// elements (Levenshtein's bit-vector program builds its match masks
+    /// this way). The default is `None`: no code, and such kernels fall back
+    /// to their element-by-element program.
+    fn small_code(&self) -> Option<u8> {
+        None
+    }
 }
 
 /// A symbol of a finite alphabet, e.g. a DNA base or an amino-acid code.
@@ -106,6 +118,11 @@ impl Element for Symbol {
 
     fn max_ground_distance() -> Option<f64> {
         Some(1.0)
+    }
+
+    /// The symbol's byte: 256 values, 256 codes.
+    fn small_code(&self) -> Option<u8> {
+        Some(self.0)
     }
 }
 
@@ -182,8 +199,18 @@ impl Point2D {
 }
 
 impl Element for Point2D {
+    /// `√(dx² + dy²)`, as [`Point3D`]'s. Where the sum of squares is not a
+    /// normal number — it overflowed, underflowed, or the points are equal —
+    /// `hypot` takes over, so a finite difference never reads `∞` and a
+    /// nonzero one never reads `0`.
     fn ground_distance(&self, other: &Self) -> f64 {
-        (self.x - other.x).hypot(self.y - other.y)
+        let (dx, dy) = (self.x - other.x, self.y - other.y);
+        let squares = dx * dx + dy * dy;
+        if squares.is_normal() {
+            squares.sqrt()
+        } else {
+            dx.hypot(dy)
+        }
     }
 
     fn gap() -> Self {
@@ -210,11 +237,19 @@ impl Point3D {
 }
 
 impl Element for Point3D {
+    /// `√(dx² + dy² + dz²)`; where the sum of squares is not a normal
+    /// number, the scaled form `hypot(hypot(dx, dy), dz)`, as for
+    /// [`Point2D`].
     fn ground_distance(&self, other: &Self) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
+        let squares = dx * dx + dy * dy + dz * dz;
+        if squares.is_normal() {
+            squares.sqrt()
+        } else {
+            dx.hypot(dy).hypot(dz)
+        }
     }
 
     fn gap() -> Self {
@@ -298,6 +333,18 @@ mod tests {
         assert_eq!(a.ground_distance(&b), 0.0);
         let c = Point3D::new(1.0, 2.0, 5.0);
         assert!((a.ground_distance(&c) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn point_ground_distances_neither_overflow_nor_underflow() {
+        for scale in [1e200, 1e-170] {
+            let d2 = Point2D::new(scale, scale).ground_distance(&Point2D::default());
+            assert!(d2.is_finite() && d2 > 0.0, "2-D at {scale}: {d2}");
+            assert!((d2 / (scale * 2f64.sqrt()) - 1.0).abs() < 1e-15, "{d2}");
+            let d3 = Point3D::new(scale, -scale, scale).ground_distance(&Point3D::default());
+            assert!(d3.is_finite() && d3 > 0.0, "3-D at {scale}: {d3}");
+            assert!((d3 / (scale * 3f64.sqrt()) - 1.0).abs() < 1e-15, "{d3}");
+        }
     }
 
     #[test]
