@@ -181,12 +181,16 @@ pub struct SegmentScan {
     /// one evaluation, as is a visit that a lower bound resolves.
     pub distance_calls: u64,
     /// Dynamic-program cells those evaluations actually filled, plus those
-    /// of recomputing each match's distance. Thresholded kernels cut this
-    /// number without changing `distance_calls`.
+    /// of recomputing each match's distance. Each visited window's
+    /// free-start column pass over the query counts here, charged to the
+    /// visit that fills it. Thresholded kernels and the visits that column
+    /// rules out cut this number without changing `distance_calls`.
     pub dp_cells: u64,
     /// Evaluations resolved by a cheap lower bound alone: family visits in
-    /// which a bound put every segment beyond the node's threshold, so that
-    /// no program ran.
+    /// which an `O(1)` bound (lengths, gap sums) put every segment beyond
+    /// the node's threshold, so that no program ran. A visit the window's
+    /// free-start column rules out is not counted here; its saving shows in
+    /// `dp_cells` only.
     pub pruned_by_lower_bound: u64,
 }
 
@@ -641,7 +645,10 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// start at one offset are prefixes of one another, one
     /// [`end table`](SequenceDistance::end_table) answers them all against
     /// a window, and so the index is asked once per offset for the whole
-    /// [`SegmentFamily`] ([`RangeIndex::family_query`]).
+    /// [`SegmentFamily`] ([`RangeIndex::family_query`]). A window's
+    /// [free-start column](SequenceDistance::free_start_column) over the
+    /// whole query, computed on its first visit, is shared by every family
+    /// that visits it later.
     pub(crate) fn matching_segments_ctx(
         &self,
         query: &Sequence<E>,
@@ -658,8 +665,9 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             .is_some()
             .then(|| GapPrefix::build(query.elements()));
         let mut scratch = FamilyScratch::default();
-        let mut per_lane = vec![Vec::new(); spec.length_count()];
         let windows = self.windows();
+        let mut columns = FreeStartColumns::new(query.elements(), windows.len());
+        let mut per_lane = vec![Vec::new(); spec.length_count()];
         let segment_ns = segment_started.elapsed().as_nanos() as u64;
         ctx.timings.segment_ns += segment_ns;
         ctx.span("segment", segment_ns);
@@ -673,7 +681,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
                 family.lanes(),
                 epsilon,
                 |item, tau, out| {
-                    self.probe_family(windows, &family, query_gap.as_ref(), item, tau, out)
+                    self.probe_family(&family, query_gap.as_ref(), &mut columns, item, tau, out)
                 },
                 &mut scratch,
             );
@@ -737,16 +745,21 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// The bound a kernel tries before its program stays in front of the
     /// table, per lane and in `O(1)`: when a lower bound already puts every
     /// lane beyond `tau`, no program runs and the visit is tallied as one
-    /// lower-bound prune.
+    /// lower-bound prune. Past it, the window's free-start column over the
+    /// whole query bounds every lane by its end: when it puts every lane
+    /// beyond `tau`, no table runs either. That visit is not a lower-bound
+    /// prune; its saving shows in the cells, as the column's pass is
+    /// charged to the visit that fills it.
     fn probe_family(
         &self,
-        windows: &WindowStore<E>,
         family: &SegmentFamily<'_, E>,
         query_gap: Option<&GapPrefix>,
+        columns: &mut FreeStartColumns<'_, E>,
         item: WindowId,
         tau: f64,
         out: &mut [f64],
     ) {
+        let windows = self.windows();
         let window = stored_window(windows, item);
         let b = window_slice(windows, &window);
         let window_sum = self
@@ -764,6 +777,17 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             ssr_distance::record_lower_bound_prune();
             out.fill(f64::INFINITY);
             return;
+        }
+        let first_end = family.start + family.min_len;
+        if let Some(column) = columns.column(&*self.distance, item, b) {
+            // `>` rather than `!≤`: a NaN bound rules nothing out.
+            if column[first_end..first_end + family.lanes()]
+                .iter()
+                .all(|&bound| bound > tau)
+            {
+                out.fill(f64::INFINITY);
+                return;
+            }
         }
         let ends = EndSpec {
             min_a: family.min_len,
@@ -802,6 +826,73 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
             return None;
         }
         self.windows().arena().sequence(id)
+    }
+}
+
+/// The free-start columns of one query: for each window visited, its
+/// [`SequenceDistance::free_start_column`] over the whole query, computed on
+/// the first visit by any family and read by every later one. Entry `e` of
+/// a column bounds the distance of every segment that ends at `e`, whatever
+/// its offset. Nothing per window is allocated until the measure answers
+/// with a column, and a measure that gives none for one window is not asked
+/// again in the query: every built-in decides by the window's length and
+/// element type, which all windows share.
+struct FreeStartColumns<'q, E> {
+    /// The whole query: the text of every column.
+    query: &'q [E],
+    /// Windows in the store, the length of `slots` once it exists.
+    window_count: usize,
+    /// Per window id, the index of its column in `columns`, or
+    /// [`FreeStartColumns::UNVISITED`]; empty until the first column.
+    slots: Vec<u32>,
+    /// The columns, `|Q| + 1` values each.
+    columns: Vec<f64>,
+    /// The measure gave no column: ask no more in this query.
+    refused: bool,
+}
+
+impl<'q, E: Element> FreeStartColumns<'q, E> {
+    const UNVISITED: u32 = u32::MAX;
+
+    fn new(query: &'q [E], window_count: usize) -> Self {
+        FreeStartColumns {
+            query,
+            window_count,
+            slots: Vec::new(),
+            columns: Vec::new(),
+            refused: false,
+        }
+    }
+
+    /// The column of window `id`, whose elements are `pattern`: from the
+    /// cache, or computed into it now. `None` when the measure has none.
+    fn column<D: SequenceDistance<E> + ?Sized>(
+        &mut self,
+        distance: &D,
+        id: WindowId,
+        pattern: &[E],
+    ) -> Option<&[f64]> {
+        if self.refused {
+            return None;
+        }
+        let len = self.query.len() + 1;
+        match self.slots.get(id.0) {
+            Some(&slot) if slot != Self::UNVISITED => {
+                return Some(&self.columns[slot as usize * len..][..len]);
+            }
+            _ => {}
+        }
+        let at = self.columns.len();
+        self.columns.resize(at + len, 0.0);
+        if !distance.free_start_column(self.query, pattern, &mut self.columns[at..]) {
+            self.refused = true;
+            return None;
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![Self::UNVISITED; self.window_count];
+        }
+        self.slots[id.0] = (at / len) as u32;
+        Some(&self.columns[at..])
     }
 }
 

@@ -191,6 +191,51 @@ impl<E: Element> SequenceDistance<E> for Erp {
         })
     }
 
+    /// The program of [`Self::distance`] with `D[i][0] = 0` on every row, so
+    /// that an alignment may start after any element of `text` at no cost:
+    /// `|text|·|pattern|` cells, no band (a free start has no diagonal).
+    ///
+    /// Each cell of either program is the minimum, over the monotone paths
+    /// into it, of the path's costs summed in path order, rounding included:
+    /// `fl(min(x, y) + c) = min(fl(x + c), fl(y + c))` because rounding is
+    /// monotone. A path of the anchored program over `text[o..e]` either
+    /// leaves column 0 at once, and is then a path of this one from `(o, 0)`
+    /// with the same sums, or first gaps some elements of `text` down
+    /// column 0; its sum is then at least that of its remainder started at
+    /// zero, again by monotone rounding, and the remainder is a path of this
+    /// one. So `out[e] ≤ min_o distance(&text[o..e], pattern)` for any
+    /// ground distance, and the two are equal where every cost is integral
+    /// and the sums therefore exact.
+    fn free_start_column(&self, text: &[E], pattern: &[E], out: &mut [f64]) -> bool {
+        assert_eq!(out.len(), text.len() + 1, "free-start column size");
+        let gap = E::gap();
+        let m = pattern.len();
+        DistanceWorkspace::with(|ws| {
+            let (prev, curr) = ws.f64_rows(m + 1, 0.0);
+            let mut acc = 0.0f64;
+            for j in 1..=m {
+                acc += pattern[j - 1].ground_distance(&gap);
+                prev[j] = acc;
+            }
+            out[0] = prev[m];
+            for (ai, slot) in text.iter().zip(&mut out[1..]) {
+                let gap_a = ai.ground_distance(&gap);
+                for j in 1..=m {
+                    let bj = &pattern[j - 1];
+                    let match_cost = prev[j - 1] + ai.ground_distance(bj);
+                    let value = match_cost
+                        .min(prev[j] + gap_a)
+                        .min(curr[j - 1] + bj.ground_distance(&gap));
+                    curr[j] = value;
+                }
+                *slot = curr[m];
+                std::mem::swap(prev, curr);
+            }
+        });
+        record_dp_cells((text.len() * m) as u64);
+        true
+    }
+
     fn uses_gap_sums(&self) -> bool {
         true
     }

@@ -23,7 +23,8 @@
 //!   minimum exceeds `τ` ends the program.
 //!
 //! Both give the exact integer distance, so they agree bit for bit on every
-//! input either can take.
+//! input either can take. The bit-vector program also runs in Myers' search
+//! mode, row 0 held at zero, for [`SequenceDistance::free_start_column`].
 
 use ssr_sequence::Element;
 
@@ -39,6 +40,14 @@ const BAND_INF: u32 = u32::MAX / 2;
 
 /// The longest pattern the bit-vector program takes: one bit per element.
 const WORD_BITS: usize = u64::BITS as usize;
+
+/// The row-0 shift-in of [`Column::step`] in the global program: `D[i][0] =
+/// i`, so row 0 grows by one a step.
+const ANCHORED: u64 = 1;
+
+/// The row-0 shift-in of Myers' search mode: `D[i][0] = 0`, an alignment
+/// may start after any element of `a` at no cost.
+const FREE_START: u64 = 0;
 
 /// The Levenshtein distance: the minimum number of single-element insertions,
 /// deletions and substitutions needed to transform one sequence into another.
@@ -159,16 +168,16 @@ impl Column {
     }
 
     /// One word step: the column after one more element of `a`, whose match
-    /// mask is `eq`. Returns the change of `D[·][top + 1]`.
+    /// mask is `eq`, with `row0` ([`ANCHORED`] or [`FREE_START`]) the change
+    /// of `D[·][0]`. Returns the change of `D[·][top + 1]`.
     #[inline]
-    fn step(&mut self, eq: u64, top: usize) -> i64 {
+    fn step(&mut self, eq: u64, top: usize, row0: u64) -> i64 {
         let xv = eq | self.vn;
         let xh = ((eq & self.vp).wrapping_add(self.vp) ^ self.vp) | eq;
         let ph = self.vn | !(xh | self.vp);
         let mh = self.vp & xh;
         let delta = ((ph >> top) & 1) as i64 - ((mh >> top) & 1) as i64;
-        // Row 0 of the global program grows by one a step: shift in a +1.
-        let ph = (ph << 1) | 1;
+        let ph = (ph << 1) | row0;
         let mh = mh << 1;
         self.vp = mh | !(xv | ph);
         self.vn = ph & xv;
@@ -176,7 +185,7 @@ impl Column {
         delta
     }
 
-    /// `D[i][j]`.
+    /// `D[i][j]`, in the anchored program.
     #[inline]
     fn cell(&self, j: usize) -> i64 {
         let mask = low(j);
@@ -222,7 +231,7 @@ fn bit_vector_within<E: Element>(
     let mut column = Column::first();
     let mut score = m as i64;
     for element in a {
-        score += column.step(mask_of(masks, element), m - 1);
+        score += column.step(mask_of(masks, element), m - 1, ANCHORED);
         // The last cell moves by at most one a step, so `score − (n − i)`
         // bounds the distance from below.
         if score - ((n - column.i) as i64) > limit || column.abandons(m, k, limit) {
@@ -247,13 +256,26 @@ fn bit_vector_end_table<E: Element>(
     let mut column = Column::first();
     sink.row(0, 0..=m, |j| j as f64);
     for element in a {
-        column.step(mask_of(masks, element), m - 1);
+        column.step(mask_of(masks, element), m - 1, ANCHORED);
         if column.abandons(m, k, limit) {
             break;
         }
         sink.row(column.i, 0..=m, |j| column.cell(j) as f64);
     }
     record_dp_cells((column.i * m) as u64);
+}
+
+/// The bit-vector [`SequenceDistance::free_start_column`]: `D[i][m]` of
+/// the search-mode program after each element of `text`.
+fn bit_vector_free_start<E: Element>(masks: &[u64; 256], text: &[E], m: usize, out: &mut [f64]) {
+    let mut column = Column::first();
+    let mut score = m as i64;
+    out[0] = score as f64;
+    for (element, slot) in text.iter().zip(&mut out[1..]) {
+        score += column.step(mask_of(masks, element), m - 1, FREE_START);
+        *slot = score as f64;
+    }
+    record_dp_cells((text.len() * m) as u64);
 }
 
 impl<E: Element> SequenceDistance<E> for Levenshtein {
@@ -381,6 +403,22 @@ impl<E: Element> SequenceDistance<E> for Levenshtein {
             }
             record_dp_cells(cells);
         })
+    }
+
+    /// Myers' search mode (JACM 1999): the bit-vector program with a row-0
+    /// shift-in of `0`, one word step per element of `text`, every value
+    /// exact. Patterns of over 64 elements, and elements without a code,
+    /// get no column (`false`); the empty pattern's is all zeros.
+    fn free_start_column(&self, text: &[E], pattern: &[E], out: &mut [f64]) -> bool {
+        assert_eq!(out.len(), text.len() + 1, "free-start column size");
+        if pattern.is_empty() {
+            out.fill(0.0);
+            return true;
+        }
+        with_masks(pattern, |masks| {
+            bit_vector_free_start(masks, text, pattern.len(), out)
+        })
+        .is_some()
     }
 
     fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {

@@ -32,7 +32,10 @@
 //! early abandoning (all DP measures), or a running-sum abandon (Euclidean,
 //! Hamming). [`SequenceDistance::end_table`] runs the same program once over
 //! two inputs and keeps the distance of every wanted pair of their prefixes —
-//! what verification needs from one pair of start points. Scratch rows live
+//! what verification needs from one pair of start points, and
+//! [`SequenceDistance::free_start_column`] runs it once over a whole text
+//! with a free start, bounding the distance of every substring to a pattern
+//! (Levenshtein, ERP). Scratch rows live
 //! in a per-thread [`DistanceWorkspace`], so the hot loop performs no
 //! allocation. The work is observable through deterministic per-thread
 //! tallies ([`dp_cells_thread_total`], [`lower_bound_prunes_thread_total`]).

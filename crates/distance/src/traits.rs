@@ -103,6 +103,28 @@ pub trait SequenceDistance<E: Element>: Send + Sync {
         }
     }
 
+    /// The search-mode ("free-start") column of `pattern` over `text`: fills
+    /// `out[e]` with a lower bound on `min_o distance(&text[o..e], pattern)`
+    /// for every end `e ∈ 0..=text.len()` and returns `true`, or returns
+    /// `false`, with `out` unspecified, when the measure offers no such
+    /// column for these inputs.
+    ///
+    /// It is the measure's prefix program over `(text, pattern)` with the
+    /// cost of skipping a text element before the alignment starts held at
+    /// zero, so one pass of `pattern` over `text` bounds the distance of
+    /// every substring of `text` to `pattern` at once: every substring that
+    /// ends at `e` is farther from `pattern` than any threshold below
+    /// `out[e]`. Built-ins that answer fill it with the exact minimum where
+    /// their arithmetic is exact (see each one's method). The default
+    /// offers none.
+    ///
+    /// # Panics
+    /// The built-ins that answer panic when `out.len() != text.len() + 1`.
+    fn free_start_column(&self, text: &[E], pattern: &[E], out: &mut [f64]) -> bool {
+        let _ = (text, pattern, out);
+        false
+    }
+
     /// An **exact** lower bound on `distance(a, b)` computable from the input
     /// lengths alone; `0.0` when the measure admits none. Used by the filter
     /// step's probe cascade to discard a window before touching its elements.
@@ -165,6 +187,10 @@ macro_rules! forward_sequence_distance {
 
             fn end_table(&self, a: &[E], b: &[E], ends: EndSpec, tau: f64, out: &mut [f64]) {
                 (**self).end_table(a, b, ends, tau, out)
+            }
+
+            fn free_start_column(&self, text: &[E], pattern: &[E], out: &mut [f64]) -> bool {
+                (**self).free_start_column(text, pattern, out)
             }
 
             fn length_lower_bound(&self, a_len: usize, b_len: usize) -> f64 {

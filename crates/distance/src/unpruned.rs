@@ -13,8 +13,8 @@ use crate::traits::{DistanceProperties, SequenceDistance};
 /// Answers are those of `D`, bit for bit (the kernels' thresholded values are
 /// exact); only the work differs, as [`crate::dp_cells_thread_total`] and
 /// [`crate::lower_bound_prunes_thread_total`] show. The trait's default
-/// length and gap-sum bounds (none) are kept, so a caller's own bound cascade
-/// in front of the kernel never fires either. A database built on
+/// length and gap-sum bounds and free-start column (none) are kept, so a
+/// caller's own bound cascade in front of the kernel never fires either. A database built on
 /// `Unpruned<D>` beside one built on `D` is the end-to-end ablation.
 #[derive(Clone, Copy, Debug)]
 pub struct Unpruned<D>(pub D);

@@ -6,7 +6,9 @@
 //! the Ukkonen band would first show. Every end table must equal its
 //! measure's kernel slot by slot, and the [`Unpruned`] ablation of a measure
 //! must answer exactly as the measure does while doing the full work.
-//! Levenshtein's bit-vector program is held to its banded one the same way.
+//! Levenshtein's bit-vector program is held to its banded one the same way,
+//! and every free-start column to the minimum, over start points, of the
+//! kernel's own distances.
 //!
 //! Every `to_bits` here compares two evaluations by the same build. On
 //! points, the ground distance under them is `√(dx² + dy²)`, with `hypot`
@@ -246,6 +248,21 @@ proptest! {
     #[test]
     fn threshold_contract_on_trajectories(a in point_seq(10), b in point_seq(10)) {
         check_all_distances(&a, &b);
+    }
+
+    #[test]
+    fn erp_free_start_columns_on_pitches(text in pitch_seq(14), pattern in pitch_seq(10)) {
+        assert_erp_free_start(&text, &pattern, true);
+    }
+
+    #[test]
+    fn erp_free_start_columns_on_symbols(text in symbol_seq(14), pattern in symbol_seq(10)) {
+        assert_erp_free_start(&text, &pattern, true);
+    }
+
+    #[test]
+    fn erp_free_start_columns_on_scalars(text in scalar_seq(14), pattern in scalar_seq(10)) {
+        assert_erp_free_start(&text, &pattern, false);
     }
 
     #[test]
@@ -511,4 +528,117 @@ fn symbol_codes_are_injective() {
         assert!(!seen[usize::from(code)], "code {code} given twice");
         seen[usize::from(code)] = true;
     }
+}
+
+/// `min_o dist.distance(&text[o..e], pattern)` for every end `e`, by the
+/// definition.
+fn brute_free_start<E: Element, D: SequenceDistance<E>>(
+    dist: &D,
+    text: &[E],
+    pattern: &[E],
+) -> Vec<f64> {
+    (0..=text.len())
+        .map(|e| {
+            (0..=e)
+                .map(|o| dist.distance(&text[o..e], pattern))
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect()
+}
+
+/// The free-start column of `pattern` over `text`, or `None` when the
+/// measure has none.
+fn free_start<E: Element, D: SequenceDistance<E>>(
+    dist: &D,
+    text: &[E],
+    pattern: &[E],
+) -> Option<Vec<f64>> {
+    let mut out = vec![f64::NAN; text.len() + 1];
+    dist.free_start_column(text, pattern, &mut out)
+        .then_some(out)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// ERP's column against the minimum of its anchored distances: equal by
+/// `to_bits` where every cost is integral (`exact`), never above it.
+fn assert_erp_free_start<E: Element>(text: &[E], pattern: &[E], exact: bool) {
+    let erp = Erp::new();
+    let column = free_start(&erp, text, pattern).expect("ERP has a free-start column");
+    let brute = brute_free_start(&erp, text, pattern);
+    if exact {
+        assert_eq!(bits(&column), bits(&brute), "{text:?} / {pattern:?}");
+    } else {
+        for (e, (got, min)) in column.iter().zip(&brute).enumerate() {
+            assert!(got <= min, "end {e}: column {got} above the minimum {min}");
+        }
+    }
+}
+
+/// Levenshtein's search-mode column against the minimum of its anchored
+/// distances, by `to_bits`: for every pattern length 0..=70 (so 63, 64 and
+/// 65 all occur) and every prefix 0..=70 of a text that holds an edited
+/// copy of the pattern. Past 64 symbols, and on elements without a code,
+/// there is no column.
+#[test]
+fn levenshtein_free_start_column_is_the_minimum_over_starts() {
+    let lev = Levenshtein::new();
+    let mut state = 36;
+    for m in 0..=70 {
+        for alphabet in [&b"ACGT"[..], b"ACDEFGHIKLMNPQRSTVWY", b"AB"] {
+            let pattern = random_symbols(&mut state, m, alphabet);
+            let head = next(&mut state) as usize % 8;
+            let mut text = random_symbols(&mut state, head, alphabet);
+            text.extend(edited(&mut state, &pattern, alphabet));
+            let tail = 70usize.saturating_sub(text.len());
+            text.extend(random_symbols(&mut state, tail, alphabet));
+            text.truncate(70);
+            let uncoded: Vec<Uncoded> = pattern.iter().copied().map(Uncoded).collect();
+            let uncoded_text: Vec<Uncoded> = text.iter().copied().map(Uncoded).collect();
+            if m > 0 {
+                assert_eq!(free_start(&lev, &uncoded_text, &uncoded), None, "m = {m}");
+            }
+            if m > 64 {
+                assert_eq!(free_start(&lev, &text, &pattern), None, "m = {m}");
+                continue;
+            }
+            let brute = brute_free_start(&lev, &text, &pattern);
+            for n in 0..=text.len() {
+                let column = free_start(&lev, &text[..n], &pattern).expect("a column");
+                assert_eq!(bits(&column), bits(&brute[..=n]), "m = {m}, n = {n}");
+            }
+        }
+    }
+}
+
+/// The pointer forwarders hand the method on, `dyn` included; the ablation
+/// and the measures that keep the default have no column.
+#[test]
+fn free_start_columns_forward_and_default_to_none() {
+    let lev = Levenshtein::new();
+    let text = sym("ACDEFGHIKLMNPQRSTVWY");
+    let pattern = sym("GHIKMNP");
+    let column = free_start(&lev, &text, &pattern).expect("a column");
+    assert_eq!(
+        (column[0], column[13]),
+        (7.0, 1.0),
+        "GHIKLMNP is one deletion away"
+    );
+    let boxed: Box<dyn SequenceDistance<Symbol>> = Box::new(lev);
+    assert_eq!(free_start(&&lev, &text, &pattern).as_ref(), Some(&column));
+    assert_eq!(
+        free_start(&Box::new(lev), &text, &pattern).as_ref(),
+        Some(&column)
+    );
+    assert_eq!(
+        free_start(&std::sync::Arc::new(lev), &text, &pattern).as_ref(),
+        Some(&column)
+    );
+    assert_eq!(free_start(&boxed, &text, &pattern).as_ref(), Some(&column));
+    assert_eq!(free_start(&Unpruned(lev), &text, &pattern), None);
+    assert_eq!(free_start(&Unpruned(Erp::new()), &text, &pattern), None);
+    assert_eq!(free_start(&DiscreteFrechet::new(), &text, &pattern), None);
+    assert_eq!(free_start(&Dtw::new(), &text, &pattern), None);
 }
