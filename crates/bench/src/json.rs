@@ -1,13 +1,9 @@
-//! Minimal JSON emission and parsing for the bench harness.
+//! Minimal JSON rendering for the `ssr` command-line tool.
 //!
-//! The workspace has no crates.io access (no `serde`), and the CI
-//! perf-regression gate only needs to write `BENCH_<date>.json` reports and
-//! read back the flat numeric baseline in `bench/baseline.json`, so this
+//! The workspace has no crates.io access (no `serde`), and `ssr info --json`,
+//! `ssr stats --json` and `ssr cluster … stats` only write JSON, so this
 //! module implements exactly that: a [`JsonValue`] tree with a pretty
-//! renderer and a strict recursive-descent parser for the standard JSON
-//! grammar (`\u` escapes are parsed for Basic-Multilingual-Plane code
-//! points, which covers everything the renderer emits; surrogate pairs are
-//! rejected).
+//! renderer. Nothing in the workspace reads JSON back.
 
 use std::fmt::Write as _;
 
@@ -39,40 +35,8 @@ impl JsonValue {
         )
     }
 
-    /// Looks up a member of an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// Renders the value as pretty-printed JSON (two-space indent, trailing
-    /// newline), suitable for committing as a baseline and diffing.
+    /// newline), suitable for diffing.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
@@ -134,19 +98,6 @@ impl JsonValue {
             }
         }
     }
-
-    /// Parses a JSON document (a single value with nothing but whitespace
-    /// around it).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
 }
 
 fn render_string(out: &mut String, s: &str) {
@@ -167,167 +118,6 @@ fn render_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {}, found {:?}",
-            byte as char,
-            *pos,
-            bytes.get(*pos).map(|&b| b as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Number)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out).map_err(|e| e.to_string());
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
-                        let c = char::from_u32(hex).ok_or_else(|| {
-                            format!("\\u escape at byte {} is not a scalar value", *pos)
-                        })?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                        *pos += 4;
-                    }
-                    other => {
-                        return Err(format!(
-                            "unsupported escape {:?} at byte {}",
-                            other.map(|&b| b as char),
-                            *pos
-                        ))
-                    }
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,14 +136,20 @@ mod tests {
             ),
             ("empty", JsonValue::Object(Vec::new())),
         ]);
-        let text = doc.render();
-        let parsed = JsonValue::parse(&text).unwrap();
-        assert_eq!(parsed, doc);
-        assert_eq!(parsed.get("count").and_then(JsonValue::as_f64), Some(42.0));
-        assert_eq!(
-            parsed.get("name").and_then(JsonValue::as_str),
-            Some("bench \"smoke\"")
-        );
+        let expected = r#"{
+  "name": "bench \"smoke\"",
+  "count": 42,
+  "ratio": 2.5,
+  "ok": true,
+  "missing": null,
+  "stages": [
+    1,
+    2
+  ],
+  "empty": {}
+}
+"#;
+        assert_eq!(doc.render(), expected);
     }
 
     #[test]
@@ -363,32 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_nested_documents() {
-        let parsed =
-            JsonValue::parse(r#"{"a": {"b": [1, 2.5, "x", false, null]}, "c": -3e2}"#).unwrap();
-        let inner = parsed.get("a").and_then(|a| a.get("b")).unwrap();
-        match inner {
-            JsonValue::Array(items) => assert_eq!(items.len(), 5),
-            _ => panic!("expected array"),
-        }
-        assert_eq!(parsed.get("c").and_then(JsonValue::as_f64), Some(-300.0));
-    }
-
-    #[test]
     fn control_characters_roundtrip_through_unicode_escapes() {
         let doc = JsonValue::String("bell\u{7} tab\t".to_string());
-        let text = doc.render();
-        assert!(text.contains("\\u0007"));
-        assert_eq!(JsonValue::parse(&text).unwrap(), doc);
-        assert!(JsonValue::parse("\"\\uD800\"").is_err(), "lone surrogate");
-        assert!(JsonValue::parse("\"\\uZZZZ\"").is_err());
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(JsonValue::parse("{").is_err());
-        assert!(JsonValue::parse("[1, 2,]").is_err());
-        assert!(JsonValue::parse("{\"a\": 1} trailing").is_err());
-        assert!(JsonValue::parse("\"unterminated").is_err());
+        assert_eq!(doc.render(), "\"bell\\u0007 tab\\t\"\n");
     }
 }

@@ -1,23 +1,24 @@
 //! # ssr-bench
 //!
-//! Shared harness code for the benchmark suite and the `figures` binary that
-//! regenerates every figure of the paper's evaluation (Section 8).
+//! The crate behind the two binaries: `figures`, which regenerates every
+//! figure of the paper's evaluation (Section 8), and `ssr`, the command-line
+//! tool that builds, inspects, mutates, serves and queries snapshots. The
+//! library holds what they share: the figure harness and datasets, table
+//! printing, JSON rendering and the Prometheus exposition check.
 //!
-//! The binary is driven entirely by synthetic stand-ins for the paper's
+//! `figures` is driven entirely by synthetic stand-ins for the paper's
 //! PROTEINS / SONGS / TRAJ datasets (generated by `ssr-datagen`); absolute
 //! numbers therefore differ from the paper, but the quantities reported —
 //! index node counts, parents per window, estimated megabytes, and the
 //! percentage of distance computations relative to a naive linear scan — are
 //! machine-independent and directly comparable in *shape*.
 
-pub mod cluster;
 pub mod datasets;
 pub mod harness;
 pub mod json;
 pub mod promcheck;
 pub mod report;
 
-pub use cluster::{run_cluster_chaos, ClusterChaosOutcome};
 pub use datasets::{protein_windows, song_windows, traj_windows, Scale};
 pub use harness::{
     build_index, distance_histogram, pruning_ratio, IndexChoice, IndexHandle, QuerySet,

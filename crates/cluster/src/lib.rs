@@ -11,11 +11,11 @@
 //!
 //! Everything chance-shaped is a pure function of a seed: the candidate
 //! draws ([`ssr_fault::mix64`] of a monotonic ticket), the breaker-cooldown
-//! jitter (mix of the trip ordinal), and therefore — under the
-//! deterministic chaos harness in `ssr-bench`, which kills and revives
-//! nodes at fixed request indices via [`ssr_fault::kill_node`] — the exact
-//! failover, hedge and breaker-trip counts of a whole run. Replaying a seed
-//! replays the incident.
+//! jitter (mix of the trip ordinal), and therefore — under the seeded
+//! node-kill replay in this crate's `tests/cluster.rs`, which kills and
+//! revives nodes at fixed request indices via [`ssr_fault::kill_node`] — the
+//! exact failover, hedge and breaker-trip counts of a whole run. Replaying a
+//! seed replays the incident.
 //!
 //! The layer is purely client-side: servers do not know they are in a
 //! cluster, and nothing here touches the retrieval pipeline. Consistency is

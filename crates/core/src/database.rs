@@ -489,7 +489,7 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
     /// arena through its metric, so the framework layer, which owns it,
     /// fills in `arena_bytes`. All byte counters are computed from lengths,
     /// never allocator capacities, and are therefore identical on every
-    /// machine (the bench gates them in CI).
+    /// machine (`tests/counters.rs` holds them exactly).
     pub fn index_space_stats(&self) -> SpaceStats {
         let mut stats = self.index.space_stats();
         stats.arena_bytes = self.windows().arena().resident_bytes();
@@ -498,9 +498,9 @@ impl<E: Element + Send + Sync, D: SequenceDistance<E>> SubsequenceDatabase<E, D>
 
     /// Total deterministic resident bytes of the window/index layout: the
     /// shared element arena, the window store's view table and the index's
-    /// per-item handles. The single definition of the footprint behind the
-    /// CI-gated `bytes_per_window` — `bench` and `ssr info` both report it
-    /// from here, so the gated and the printed figure cannot diverge.
+    /// per-item handles. The single definition of the footprint: the
+    /// counters test holds it exactly and `ssr info` prints it from here, so
+    /// the held and the printed figure cannot diverge.
     pub fn resident_window_bytes(&self) -> usize {
         let stats = self.index_space_stats();
         stats.arena_bytes + stats.item_bytes + self.windows().view_bytes()

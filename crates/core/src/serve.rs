@@ -925,8 +925,8 @@ where
     let _ = job.reply.send(outcomes);
 }
 
-/// A blocking client speaking the wire protocol — the counterpart `bench
-/// --serve` and the parity tests drive.
+/// A blocking client speaking the wire protocol — the counterpart the
+/// parity tests drive.
 pub struct Client<E> {
     stream: TcpStream,
     max_frame_len: usize,

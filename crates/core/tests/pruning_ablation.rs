@@ -152,7 +152,7 @@ fn pruning_is_pure_performance() {
         IndexBackend::MvReference { references: 4 },
         IndexBackend::LinearScan,
     ] {
-        // Mirrors the smoke bench shape: λ = 40 (windows of 20) at radius 8.
+        // Mirrors the shape of `counters.rs`: λ = 40 (windows of 20) at radius 8.
         let config = FrameworkConfig::new(40)
             .with_max_shift(2)
             .with_backend(backend);

@@ -63,8 +63,8 @@ impl SpaceStats {
     }
 
     /// Resident bytes per stored item: shared arena plus per-item handles,
-    /// divided by the live item count (0.0 for an empty index). The bench's
-    /// gated `bytes_per_window` additionally counts the window store's view
+    /// divided by the live item count (0.0 for an empty index). The framework's
+    /// `resident_window_bytes` additionally counts the window store's view
     /// table, which the index does not own, so it sits a few words per item
     /// above this number.
     pub fn bytes_per_item(&self) -> f64 {
