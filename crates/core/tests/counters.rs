@@ -16,11 +16,20 @@
 //! pruning saving is quoted against (`pruning_ablation.rs` holds that the
 //! two sides agree on everything else). The sides are two databases, so
 //! they run at once, on two threads.
+//!
+//! On proteins the Reference Net bulk-decides almost nothing, so a third
+//! case pins the counts where it does: seeded trajectories under the
+//! discrete Fréchet distance, where the net makes a small share of a
+//! scan's distance calls and most windows are accepted or excluded a whole
+//! reference list or subtree at a time.
 
-use ssr_core::{FrameworkConfig, QueryEngine, QueryStats, SubsequenceDatabase};
-use ssr_datagen::{generate_proteins, plant_query, ProteinConfig, QueryConfig, SymbolMutator};
-use ssr_distance::{Levenshtein, SequenceDistance, Unpruned};
-use ssr_sequence::{Sequence, SequenceDataset, Symbol};
+use ssr_core::{FrameworkConfig, IndexBackend, QueryEngine, QueryStats, SubsequenceDatabase};
+use ssr_datagen::{
+    generate_proteins, generate_trajectories, plant_query, PointMutator, ProteinConfig,
+    QueryConfig, SymbolMutator, TrajConfig,
+};
+use ssr_distance::{DiscreteFrechet, Levenshtein, SequenceDistance, Unpruned};
+use ssr_sequence::{Element, Point2D, Sequence, SequenceDataset, Symbol};
 
 const EPSILON: f64 = 8.0;
 
@@ -60,12 +69,13 @@ fn build<D: SequenceDistance<Symbol>>(
 }
 
 /// The batch's summed work, how many distinct queries it ran and how many
-/// of the thirteen found a match.
-fn run<D: SequenceDistance<Symbol>>(
-    db: &SubsequenceDatabase<Symbol, D>,
-    queries: &[Sequence<Symbol>],
+/// of them found a match.
+fn run<E: Element + Send + Sync, D: SequenceDistance<E>>(
+    db: &SubsequenceDatabase<E, D>,
+    queries: &[Sequence<E>],
+    epsilon: f64,
 ) -> (QueryStats, usize, usize) {
-    let batch = QueryEngine::new(db).batch_type2(queries, EPSILON);
+    let batch = QueryEngine::new(db).batch_type2(queries, epsilon);
     let matched = batch.outcomes.iter().filter(|o| o.result.is_some()).count();
     (batch.total_stats(), batch.unique_queries, matched)
 }
@@ -76,10 +86,10 @@ fn the_seeded_type2_batch_spends_exactly_these_counts() {
     let (db, stats, unique, matched, full_cells) = std::thread::scope(|s| {
         let full = s.spawn(|| {
             let unpruned = build(&proteins, Unpruned(Levenshtein::new()));
-            run(&unpruned, &queries).0.dp_cells_evaluated
+            run(&unpruned, &queries, EPSILON).0.dp_cells_evaluated
         });
         let db = build(&proteins, Levenshtein::new());
-        let (stats, unique, matched) = run(&db, &queries);
+        let (stats, unique, matched) = run(&db, &queries, EPSILON);
         let full_cells = full.join().expect("the unpruned side runs");
         (db, stats, unique, matched, full_cells)
     });
@@ -104,4 +114,67 @@ fn the_seeded_type2_batch_spends_exactly_these_counts() {
     // per-window copies, or fattens a view or handle type, moves these.
     assert_eq!(db.index_space_stats().arena_bytes, 8_649);
     assert_eq!(db.resident_window_bytes(), 18_489);
+}
+
+/// The seeded trajectories (403 windows of λ/2 = 12 on a 320-unit lane)
+/// and twelve queries planted with the benchmark's `traj-dfd` shape: 40
+/// points, half of them jittered by up to 0.3, in 6 random points of
+/// context each side.
+fn trajectories() -> (SequenceDataset<Point2D>, Vec<Sequence<Point2D>>) {
+    let trajectories = generate_trajectories(&TrajConfig {
+        lane_length: 320.0,
+        ..TrajConfig::sized_for_windows(440, 12, 42)
+    });
+    let mutator = PointMutator {
+        jitter: 0.3,
+        ..PointMutator::default()
+    };
+    let queries = (0..12)
+        .map(|i| {
+            plant_query(
+                &trajectories,
+                &mutator,
+                &QueryConfig {
+                    planted_len: 40,
+                    context_len: 6,
+                    perturbation_rate: 0.5,
+                    seed: 2000 + i,
+                },
+            )
+            .expect("the trajectories are long enough to plant queries")
+            .query
+        })
+        .collect();
+    (trajectories, queries)
+}
+
+#[test]
+fn the_seeded_trajectory_batch_bulk_decides_exactly_these_counts() {
+    let (trajectories, queries) = trajectories();
+    let build = |backend| {
+        let config = FrameworkConfig::new(24)
+            .with_max_shift(2)
+            .with_backend(backend);
+        SubsequenceDatabase::builder(config, DiscreteFrechet::new())
+            .add_dataset(&trajectories)
+            .build()
+            .expect("the trajectory workload builds")
+    };
+    let net = build(IndexBackend::ReferenceNet);
+    let scan = build(IndexBackend::LinearScan);
+    let (stats, unique, matched) = run(&net, &queries, 4.0);
+    let (scanned, ..) = run(&scan, &queries, 4.0);
+
+    assert_eq!(net.window_count(), 403);
+    assert_eq!((unique, matched), (12, 12));
+    // The net asks for 19.5 % of the scan's distance calls.
+    assert_eq!(
+        scanned.index_distance_calls, 207_948,
+        "a scan visits every window"
+    );
+    assert_eq!(stats.index_distance_calls, 40_534);
+    assert_eq!(stats.segment_matches, 2_904);
+    assert_eq!(stats.candidates, 89);
+    assert_eq!(stats.dp_cells_evaluated, 4_051_260);
+    assert_eq!(stats.verification_calls, 20_697);
 }

@@ -423,13 +423,6 @@ pub fn revive_node(name: &str) {
     ANY_NODE_DOWN.store(!killed.is_empty(), Ordering::Relaxed);
 }
 
-/// Revives every killed node — harness teardown.
-pub fn revive_all_nodes() {
-    let mut killed = killed_registry();
-    killed.clear();
-    ANY_NODE_DOWN.store(false, Ordering::Relaxed);
-}
-
 /// Whether `name`'s kill switch is thrown. With no node killed anywhere
 /// this is one relaxed atomic load, so production servers (which never call
 /// [`kill_node`]) pay nothing per connection.
@@ -674,16 +667,18 @@ mod tests {
 
     #[test]
     fn node_kill_switch_is_cheap_scoped_and_reversible() {
-        revive_all_nodes();
-        assert!(!node_killed("node-a"), "nothing killed yet");
-        kill_node("node-a");
-        assert!(node_killed("node-a"));
-        assert!(!node_killed("node-b"), "the switch is per node");
-        kill_node("node-b");
-        revive_node("node-a");
-        assert!(!node_killed("node-a"));
-        assert!(node_killed("node-b"));
-        revive_all_nodes();
-        assert!(!node_killed("node-b"));
+        // The kill set is process-global: these names are this test's own,
+        // and it revives only them.
+        let (a, b) = ("fault-test-kill-switch-a", "fault-test-kill-switch-b");
+        assert!(!node_killed(a), "nothing killed yet");
+        kill_node(a);
+        assert!(node_killed(a));
+        assert!(!node_killed(b), "the switch is per node");
+        kill_node(b);
+        revive_node(a);
+        assert!(!node_killed(a));
+        assert!(node_killed(b));
+        revive_node(b);
+        assert!(!node_killed(b));
     }
 }

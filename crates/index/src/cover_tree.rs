@@ -5,20 +5,21 @@
 //! levelled geometry as [`crate::ReferenceNet`] — level `i` is associated with
 //! radius `ǫ'·2^i`, parents always sit strictly above their children, and a
 //! parent is within `ǫ'·2^{child_level + 1}` of each child — but every node
-//! has **exactly one** parent, so it is a tree. Range queries descend the tree
-//! level by level, pruning or bulk-accepting whole subtrees with the triangle
-//! inequality against each node's `reach` — the bound its own edges add up
-//! to, zero for a leaf — which is also what every distance call is cut off
-//! at (`radius + reach`). The lack of multiple parents is precisely what the
-//! paper's Figure 2 shows can force extra distance computations compared to
-//! the Reference Net.
+//! has **exactly one** parent, so it is a tree. Range queries walk down the
+//! tree from the root (the `hierarchy` module), pruning or bulk-accepting
+//! whole subtrees with the triangle inequality against each node's `reach` —
+//! the bound its own edges add up to, zero for a leaf — which is also what
+//! every distance call is cut off at (`radius + reach`). The lack of
+//! multiple parents is precisely what the paper's Figure 2 shows can force
+//! extra distance computations compared to the Reference Net.
 
 use std::collections::BTreeMap;
 
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
+use crate::hierarchy::{self, Levelled};
 use crate::metric::Metric;
-use crate::traits::{undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -28,8 +29,8 @@ struct Node {
     /// Upper bound on the distance from this node to anything in its
     /// subtree: `max` over children `c` of `ǫ'·2^{level(c)+1} + reach(c)`,
     /// zero for a leaf. A pure function of the edges and levels, so it is
-    /// never serialized: [`CoverTree::structural_reach`] rebuilds it without
-    /// a single distance call.
+    /// never serialized: the bottom-up pass of `structural_bounds` rebuilds
+    /// it without a single distance call.
     reach: f64,
 }
 
@@ -45,52 +46,52 @@ pub struct CoverTree<T, M> {
 }
 
 impl<T, M> CoverTree<T, M> {
-    fn radius(&self, level: i32) -> f64 {
-        self.epsilon_prime * f64::powi(2.0, level)
-    }
-
-    /// The reach of every node, from the edges and levels alone — no
-    /// distance call. Children sit strictly below their parents, so walking
-    /// `by_level` upwards finalises every child before its parent reads it.
-    fn structural_reach(&self) -> Vec<f64> {
-        let mut reach = vec![0.0f64; self.nodes.len()];
-        for ids in self.by_level.values() {
-            for &n in ids {
-                reach[n] = self.nodes[n]
-                    .children
-                    .iter()
-                    .map(|&c| self.radius(self.nodes[c].level + 1) + reach[c])
-                    .fold(0.0, f64::max);
-            }
-        }
-        reach
-    }
-
-    /// Decides the still-undecided part of `start`'s subtree (`start` itself
-    /// is decided by its caller) for the lane whose decisions `decided` holds.
-    fn mark_subtree(
-        &self,
-        start: usize,
-        value: bool,
-        decided: &mut [Option<bool>],
-        stack: &mut Vec<usize>,
-    ) {
-        stack.push(start);
-        while let Some(n) = stack.pop() {
-            for &c in &self.nodes[n].children {
-                if decided[c].is_none() {
-                    decided[c] = Some(value);
-                }
-                stack.push(c);
-            }
-        }
-    }
-
     /// Stored items in id order (the id of `items()[i]` is `ItemId(i)`).
     /// Snapshot loading uses this to validate decoded item handles before
     /// any of them is resolved.
     pub fn items(&self) -> &[T] {
         &self.items
+    }
+
+    /// Number of children of `id` (0 for a leaf or an unknown id).
+    pub fn list_len(&self, id: ItemId) -> usize {
+        self.nodes.get(id.0).map_or(0, |n| n.children.len())
+    }
+}
+
+impl<T, M> Levelled<T> for CoverTree<T, M> {
+    fn root(&self) -> Option<usize> {
+        self.root
+    }
+
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Its one bound serves as its list bound too, so a tree node takes no
+    /// list decision a subtree decision does not.
+    fn node(&self, n: usize) -> hierarchy::Node<'_, T> {
+        let node = &self.nodes[n];
+        hierarchy::Node {
+            item: &self.items[n],
+            level: node.level,
+            children: &node.children,
+            parents: node.parent.as_slice(),
+            reach: node.reach,
+            list: node.reach,
+        }
+    }
+
+    fn alive(&self, _: usize) -> bool {
+        true
+    }
+
+    fn by_level(&self) -> &BTreeMap<i32, Vec<usize>> {
+        &self.by_level
+    }
+
+    fn radius(&self, level: i32) -> f64 {
+        self.epsilon_prime * f64::powi(2.0, level)
     }
 }
 
@@ -129,79 +130,12 @@ impl<T, M: Metric<T>> CoverTree<T, M> {
         }
     }
 
-    /// Number of hierarchy levels in use.
-    pub fn level_count(&self) -> usize {
-        self.by_level.len()
-    }
-
-    /// Structural invariants: single parent, level ordering, covering radius,
-    /// reachability from the root, every stored `reach` equal to the
-    /// from-scratch bottom-up pass, and no node farther from an ancestor than
-    /// that ancestor's `reach`. Used by tests.
+    /// Structural invariants, used by tests: those both trees keep (edges
+    /// descend a level within `ǫ'·2^{child_level + 1}` and are listed at
+    /// both ends, every node is reachable from the root, every stored
+    /// `reach` is the bottom-up pass's and bounds the node's subtree).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let root = match self.root {
-            Some(r) => r,
-            None => {
-                if self.items.is_empty() {
-                    return Ok(());
-                }
-                return Err("items but no root".into());
-            }
-        };
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node.parent {
-                None => {
-                    if i != root {
-                        return Err(format!("non-root node {i} has no parent"));
-                    }
-                }
-                Some(p) => {
-                    if self.nodes[p].level <= node.level {
-                        return Err(format!("parent {p} not above child {i}"));
-                    }
-                    let d = self.metric.dist(&self.items[p], &self.items[i]);
-                    if d > self.radius(node.level + 1) + 1e-9 {
-                        return Err(format!("edge {p}->{i} exceeds covering radius"));
-                    }
-                    if !self.nodes[p].children.contains(&i) {
-                        return Err(format!("parent {p} does not list child {i}"));
-                    }
-                }
-            }
-        }
-        let mut reached = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        reached[root] = true;
-        while let Some(n) = stack.pop() {
-            for &c in &self.nodes[n].children {
-                if !reached[c] {
-                    reached[c] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        if reached.iter().any(|&r| !r) {
-            return Err("unreachable node".into());
-        }
-        for (i, (node, reach)) in self.nodes.iter().zip(self.structural_reach()).enumerate() {
-            if node.reach != reach {
-                return Err(format!(
-                    "node {i} stores reach {}, the bottom-up pass gives {reach}",
-                    node.reach
-                ));
-            }
-            let mut stack = node.children.clone();
-            while let Some(x) = stack.pop() {
-                let d = self.metric.dist(&self.items[i], &self.items[x]);
-                if d > reach + 1e-9 {
-                    return Err(format!(
-                        "node {x} sits below {i} at distance {d}, beyond its reach {reach}"
-                    ));
-                }
-                stack.extend(&self.nodes[x].children);
-            }
-        }
-        Ok(())
+        self.check_levels(|a, b| self.metric.dist(a, b))
     }
 
     fn set_level(&mut self, idx: usize, level: i32) {
@@ -298,7 +232,7 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
                 self.nodes[parent].children.push(idx);
                 // The new leaf can only grow its ancestors' reach: carry the
                 // growth up until an ancestor already reaches that far,
-                // which leaves exactly what `structural_reach` computes.
+                // which leaves exactly what `structural_bounds` computes.
                 let mut child = idx;
                 while let Some(p) = self.nodes[child].parent {
                     let through =
@@ -324,43 +258,19 @@ impl<T, M: Metric<T>> RangeIndex<T> for CoverTree<T, M> {
         self.items.get(id.0)
     }
 
-    /// Descends level by level; a node is probed once, for every lane that
-    /// has not decided it, and each of those lanes then decides the node and
-    /// — where its own distance allows — the whole subtree.
-    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    /// A frontier walk from the root (the `hierarchy` module): a node is
+    /// probed once, for every lane that has not decided it, and each of
+    /// those lanes then decides the node and — where its own distance
+    /// allows — the whole subtree. The only decisions that need the exact
+    /// distance are those with `d ≤ radius + reach`: anything farther is
+    /// pruned with its subtree, which is what the `∞` a probe reports beyond
+    /// that threshold does. A leaf has reach 0 and is probed at the query
+    /// radius itself.
+    fn family_query<P>(&self, lanes: usize, radius: f64, probe: P, scratch: &mut FamilyScratch)
     where
         P: FnMut(&T, f64, &mut [f64]),
     {
-        let nodes = self.nodes.len();
-        scratch.reset(lanes, nodes);
-        for ids in self.by_level.values().rev() {
-            for &n in ids {
-                if !undecided(&scratch.decided, lanes, nodes, n) {
-                    continue;
-                }
-                // The only decisions that need the exact distance are those
-                // with d ≤ radius + reach: anything farther is pruned
-                // together with its whole subtree, which is what the `∞` a
-                // probe reports beyond its threshold does below. A leaf has
-                // reach 0 and is probed at the query radius itself.
-                let reach = self.nodes[n].reach;
-                probe(&self.items[n], radius + reach, &mut scratch.dists);
-                for lane in 0..lanes {
-                    let decided = &mut scratch.decided[lane * nodes..][..nodes];
-                    if decided[n].is_some() {
-                        continue;
-                    }
-                    let d = scratch.dists[lane];
-                    decided[n] = Some(d <= radius);
-                    if d + reach <= radius {
-                        self.mark_subtree(n, true, decided, &mut scratch.stack);
-                    } else if d - reach > radius {
-                        self.mark_subtree(n, false, decided, &mut scratch.stack);
-                    }
-                }
-            }
-        }
-        scratch.collect_hits(nodes, |_| true);
+        self.family_walk(lanes, radius, probe, scratch);
     }
 
     fn space_stats(&self) -> SpaceStats {
@@ -408,8 +318,7 @@ impl Decode for Node {
 impl<T, M> CoverTree<T, M> {
     /// Encodes the tree bookkeeping — everything except the items and the
     /// metric. As for the Reference Net, the `by_level` buckets are stored
-    /// verbatim so that a loaded tree visits references in the same order and
-    /// reproduces per-query distance-call counts exactly.
+    /// verbatim, so a loaded tree encodes to the very same bytes.
     fn encode_structure(&self, w: &mut ssr_storage::Writer) {
         w.put_f64(self.epsilon_prime);
         self.nodes.encode(w);
@@ -457,46 +366,8 @@ impl<T: Decode, M: Metric<T>> DecodeWith<M> for CoverTree<T, M> {
                 items.len()
             )));
         }
-        let in_range = |idx: &usize| *idx < nodes.len();
-        if !nodes
-            .iter()
-            .all(|n| n.parent.iter().all(in_range) && n.children.iter().all(in_range))
-        {
-            return Err(StorageError::Malformed(
-                "cover tree edge index out of range".into(),
-            ));
-        }
-        // Subtree decisions walk down the child lists and reach maintenance
-        // walks up the parent links; strictly monotone levels are what makes
-        // both walks end.
-        if !nodes.iter().all(|n| {
-            n.parent.iter().all(|&p| nodes[p].level > n.level)
-                && n.children.iter().all(|&c| nodes[c].level < n.level)
-        }) {
-            return Err(StorageError::Malformed(
-                "cover tree edge does not descend a level".into(),
-            ));
-        }
-        let levels = Vec::<(i32, Vec<usize>)>::decode(r)?;
-        let mut by_level = BTreeMap::new();
-        for (level, ids) in levels {
-            if !ids.iter().all(in_range) {
-                return Err(StorageError::Malformed(
-                    "cover tree level bucket index out of range".into(),
-                ));
-            }
-            if by_level.insert(level, ids).is_some() {
-                return Err(StorageError::Malformed(format!(
-                    "duplicate cover tree level {level}"
-                )));
-            }
-        }
+        let by_level = hierarchy::decode_levels(r, nodes.len())?;
         let root = Option::<usize>::decode(r)?;
-        if root.is_some_and(|root| root >= nodes.len()) {
-            return Err(StorageError::Malformed(
-                "cover tree root out of range".into(),
-            ));
-        }
         let mut tree = CoverTree {
             epsilon_prime,
             metric,
@@ -505,8 +376,9 @@ impl<T: Decode, M: Metric<T>> DecodeWith<M> for CoverTree<T, M> {
             by_level,
             root,
         };
-        let reach = tree.structural_reach();
-        for (node, reach) in tree.nodes.iter_mut().zip(reach) {
+        tree.check_decoded()?;
+        let bounds = tree.structural_bounds();
+        for (node, (reach, _)) in tree.nodes.iter_mut().zip(bounds) {
             node.reach = reach;
         }
         Ok(tree)

@@ -31,6 +31,7 @@
 //! [`RangeIndex::range_query`] over a stored item is its one-lane case.
 
 pub mod cover_tree;
+mod hierarchy;
 pub mod linear_scan;
 pub mod metric;
 pub mod mv_reference;

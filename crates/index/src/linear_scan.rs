@@ -79,15 +79,17 @@ impl<T, M: Metric<T>> RangeIndex<T> for LinearScan<T, M> {
     where
         P: FnMut(&T, f64, &mut [f64]),
     {
-        let n = self.items.len();
-        scratch.reset(lanes, n);
+        scratch.begin(lanes);
         for (i, item) in self.items.iter().enumerate() {
             probe(item, radius, &mut scratch.dists);
             for (lane, d) in scratch.dists.iter().enumerate() {
-                scratch.decided[lane * n + i] = Some(*d <= radius);
+                if *d <= radius {
+                    scratch.hits.push((lane, ItemId(i)));
+                }
             }
         }
-        scratch.collect_hits(n, |_| true);
+        scratch.touched = self.items.len();
+        scratch.finish();
     }
 
     fn space_stats(&self) -> SpaceStats {

@@ -24,7 +24,7 @@ use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
 use crate::metric::Metric;
 use crate::par::fanout_map;
-use crate::traits::{one_lane_query, undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{one_lane_query, FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// Reference-based index with Maximum-Variance pivots.
 #[derive(Clone)]
@@ -211,8 +211,7 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
         P: FnMut(&T, f64, &mut [f64]),
     {
         self.ensure_built();
-        let n = self.items.len();
-        scratch.reset(lanes, n);
+        scratch.begin(lanes);
         scratch
             .dists
             .resize(lanes * (1 + self.references.len()), f64::INFINITY);
@@ -221,6 +220,7 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
             probe(&self.items[r], f64::INFINITY, row);
         }
         for (i, row) in self.table.iter().enumerate() {
+            scratch.stack.clear();
             for lane in 0..lanes {
                 let mut lower = 0.0f64;
                 let mut upper = f64::INFINITY;
@@ -229,22 +229,22 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for MvReferenceIndex<T, M> {
                     lower = lower.max((dq - dx).abs());
                     upper = upper.min(dq + dx);
                 }
-                scratch.decided[lane * n + i] = if lower > radius {
-                    Some(false)
+                if lower > radius {
+                    continue;
                 } else if upper <= radius {
-                    Some(true)
+                    scratch.hits.push((lane, ItemId(i)));
                 } else {
-                    None
-                };
-            }
-            if undecided(&scratch.decided, lanes, n, i) {
-                probe(&self.items[i], radius, dists);
-                for (lane, d) in dists.iter().enumerate() {
-                    scratch.decided[lane * n + i].get_or_insert(*d <= radius);
+                    scratch.stack.push(lane);
                 }
             }
+            if !scratch.stack.is_empty() {
+                probe(&self.items[i], radius, dists);
+                let within = scratch.stack.iter().filter(|&&lane| dists[lane] <= radius);
+                scratch.hits.extend(within.map(|&lane| (lane, ItemId(i))));
+            }
         }
-        scratch.collect_hits(n, |_| true);
+        scratch.touched = self.items.len();
+        scratch.finish();
     }
 
     fn space_stats(&self) -> SpaceStats {

@@ -14,24 +14,32 @@
 //!   whole lists from whichever parent happens to be close to the query
 //!   (Figure 2 of the paper).
 //!
-//! Range queries follow Algorithm 3: references are visited level by level
-//! from the top; for each undecided reference one distance is computed and the
-//! triangle inequality is used to accept or prune either its direct list or
-//! everything derived from it (Lemma 4). Lemma 4 only needs *an upper bound*
-//! on the distance from a reference to what it covers, so instead of the
-//! level's worst case (`ǫ'·2^i` / `ǫ'·2^{i+1}`) every node keeps the bound
-//! its own edges actually add up to — its `list` and `reach`, zero for a
-//! childless reference — and each distance call is cut off at
-//! `radius + reach`. The number of distance evaluations is the number of
-//! references that could not be bulk-decided — the quantity the paper's
-//! Figures 8–11 report as a fraction of the naive linear scan.
+//! Range queries follow Algorithm 3: references are visited from the top,
+//! each once every reference listing it has been; for each undecided
+//! reference one distance is computed and the triangle inequality is used to
+//! accept or prune either its direct list or everything derived from it
+//! (Lemma 4). Lemma 4 only needs *an upper bound* on the distance from a
+//! reference to what it covers, so instead of the level's worst case
+//! (`ǫ'·2^i` / `ǫ'·2^{i+1}`) every node keeps the bound its own edges
+//! actually add up to — its `list` and `reach`, zero for a childless
+//! reference — and each distance call is cut off at `radius + reach`. The
+//! number of distance evaluations is the number of references that could
+//! not be bulk-decided — the quantity the paper's Figures 8–11 report as a
+//! fraction of the naive linear scan.
+//!
+//! A probe costs what it visits, as those figures assume: the query is a
+//! frontier walk (the `hierarchy` module) that touches the references it
+//! probes, the lists it descends into and the references it accepts, and
+//! never a subtree every lane has excluded — no per-query pass over all
+//! nodes.
 
 use std::collections::BTreeMap;
 
 use ssr_storage::{Decode, DecodeWith, Encode, StorageError};
 
+use crate::hierarchy::{self, Levelled};
 use crate::metric::Metric;
-use crate::traits::{undecided, FamilyScratch, ItemId, RangeIndex, SpaceStats};
+use crate::traits::{FamilyScratch, ItemId, RangeIndex, SpaceStats};
 
 /// Configuration of a [`ReferenceNet`].
 #[derive(Clone, Copy, Debug)]
@@ -90,26 +98,6 @@ struct Node {
     /// The one-hop version, covering the direct list only: `max` over
     /// children `c` of `ǫ'·2^{level(c)+1}`.
     list: f64,
-}
-
-/// One lane's decision state of Algorithm 3, borrowed from the query's
-/// [`FamilyScratch`].
-struct Decisions<'s> {
-    /// `Some(in_result)` once a node is decided; the first decision stands.
-    decided: &'s mut [Option<bool>],
-    /// Nodes whose derived references are all decided: a bulk decision never
-    /// descends below one again, so every bulk decision of a lane together
-    /// walks each edge of the multi-parent DAG at most once.
-    swept: &'s mut [bool],
-    stack: &'s mut Vec<usize>,
-}
-
-impl Decisions<'_> {
-    fn decide(&mut self, n: usize, value: bool) {
-        if self.decided[n].is_none() {
-            self.decided[n] = Some(value);
-        }
-    }
 }
 
 /// What the insert descent in flight knows about a node.
@@ -316,110 +304,24 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
         true
     }
 
-    /// Structural invariants, used by tests and debug assertions:
-    ///
-    /// 1. every live non-root node has at least one parent;
-    /// 2. every parent link connects a strictly higher level to a lower level
-    ///    and spans a distance of at most `ǫ'·2^{child_level + 1}`;
-    /// 3. the number of parents never exceeds `nummax` (when configured);
-    /// 4. every live node is reachable from the root;
-    /// 5. every node's stored `reach` / `list` equal the from-scratch
-    ///    bottom-up pass, and no derived reference lies farther from a node
-    ///    than its `reach`.
+    /// Structural invariants, used by tests and debug assertions: those
+    /// both trees keep (edges descend a level within `ǫ'·2^{child_level+1}`
+    /// and are listed at both ends, every live node is reachable from the
+    /// root, every stored `reach` is the bottom-up pass's and bounds all
+    /// that derives from its node), every stored `list` the bottom-up
+    /// pass's, and no node with more parents than `nummax`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let root = match self.root {
-            Some(r) => r,
-            None => {
-                if self.live_count == 0 {
-                    return Ok(());
-                }
-                return Err("live items but no root".to_string());
-            }
-        };
         let cap = self.config.max_parents.unwrap_or(usize::MAX);
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.alive {
-                continue;
-            }
-            if i != root && node.parents.is_empty() {
-                return Err(format!("node {i} has no parent"));
-            }
-            if node.parents.len() > cap {
-                return Err(format!(
-                    "node {i} has {} parents, cap is {cap}",
-                    node.parents.len()
-                ));
-            }
-            for &p in &node.parents {
-                if !self.nodes[p].alive {
-                    return Err(format!("node {i} has dead parent {p}"));
-                }
-                if self.nodes[p].level <= node.level {
-                    return Err(format!(
-                        "parent {p} (level {}) not above child {i} (level {})",
-                        self.nodes[p].level, node.level
-                    ));
-                }
-                let d = self.metric.dist(&self.items[p], &self.items[i]);
-                let bound = self.radius(node.level + 1);
-                if d > bound + 1e-9 {
-                    return Err(format!(
-                        "edge {p}->{i} spans {d}, exceeding bound {bound} for child level {}",
-                        node.level
-                    ));
-                }
-                if !self.nodes[p].children.contains(&i) {
-                    return Err(format!("parent {p} does not list child {i}"));
-                }
-            }
+        if let Some(n) = self.nodes.iter().position(|n| n.parents.len() > cap) {
+            return Err(format!("node {n} has more parents than the cap {cap}"));
         }
-        // Reachability from the root.
-        let mut reached = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        reached[root] = true;
-        while let Some(n) = stack.pop() {
-            for &c in &self.nodes[n].children {
-                if !reached[c] {
-                    reached[c] = true;
-                    stack.push(c);
-                }
-            }
+        let lists = self.structural_bounds().into_iter().map(|(_, list)| list);
+        if let Some(n) = self.nodes.iter().zip(lists).position(|(n, l)| n.list != l) {
+            return Err(format!(
+                "node {n} stores another list bound than the bottom-up pass"
+            ));
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.alive && !reached[i] {
-                return Err(format!("node {i} is not reachable from the root"));
-            }
-        }
-        for (i, (node, (reach, list))) in
-            self.nodes.iter().zip(self.structural_bounds()).enumerate()
-        {
-            if (node.reach, node.list) != (reach, list) {
-                return Err(format!(
-                    "node {i} stores reach {} / list {}, the bottom-up pass gives {reach} / {list}",
-                    node.reach, node.list
-                ));
-            }
-            let mut seen = vec![false; self.nodes.len()];
-            let mut stack = node.children.clone();
-            while let Some(x) = stack.pop() {
-                if std::mem::replace(&mut seen[x], true) {
-                    continue;
-                }
-                let d = self.metric.dist(&self.items[i], &self.items[x]);
-                if d > reach + 1e-9 {
-                    return Err(format!(
-                        "node {x} derives from {i} at distance {d}, beyond its reach {reach}"
-                    ));
-                }
-                stack.extend(&self.nodes[x].children);
-            }
-        }
-        Ok(())
-    }
-
-    /// The number of hierarchy levels currently in use.
-    pub fn level_count(&self) -> usize {
-        self.by_level.len()
+        self.check_levels(|a, b| self.metric.dist(a, b))
     }
 
     /// Average number of parents (reference lists containing it) per live
@@ -656,31 +558,6 @@ impl<T: Send + Sync, M: Metric<T>> ReferenceNet<T, M> {
 }
 
 impl<T, M> ReferenceNet<T, M> {
-    /// Radius `ǫ'·2^level` associated with a level.
-    fn radius(&self, level: i32) -> f64 {
-        self.config.epsilon_prime * f64::powi(2.0, level)
-    }
-
-    /// The `(reach, list)` bound of every node, from the edges and levels
-    /// alone — no distance call. Children sit strictly below their parents,
-    /// so walking `by_level` upwards finalises every child before a parent
-    /// reads it. Dead nodes (in no bucket, no edges) get zeros.
-    fn structural_bounds(&self) -> Vec<(f64, f64)> {
-        let mut bounds = vec![(0.0f64, 0.0f64); self.nodes.len()];
-        for ids in self.by_level.values() {
-            for &n in ids {
-                let (mut reach, mut list) = (0.0f64, 0.0f64);
-                for &c in &self.nodes[n].children {
-                    let edge = self.radius(self.nodes[c].level + 1);
-                    list = list.max(edge);
-                    reach = reach.max(edge + bounds[c].0);
-                }
-                bounds[n] = (reach, list);
-            }
-        }
-        bounds
-    }
-
     fn recompute_bounds(&mut self) {
         let bounds = self.structural_bounds();
         for (node, (reach, list)) in self.nodes.iter_mut().zip(bounds) {
@@ -689,25 +566,51 @@ impl<T, M> ReferenceNet<T, M> {
         }
     }
 
-    /// Decides every still-undecided reference derived from `start`.
-    fn mark_descendants(&self, start: usize, value: bool, state: &mut Decisions<'_>) {
-        state.stack.push(start);
-        while let Some(n) = state.stack.pop() {
-            if std::mem::replace(&mut state.swept[n], true) {
-                continue;
-            }
-            for &c in &self.nodes[n].children {
-                state.decide(c, value);
-                state.stack.push(c);
-            }
-        }
-    }
-
     /// Stored items in id order, dead nodes included (the id of `items()[i]`
     /// is `ItemId(i)`). Snapshot loading uses this to validate decoded item
     /// handles before any of them is resolved.
     pub fn items(&self) -> &[T] {
         &self.items
+    }
+
+    /// Number of references in `id`'s list, its children (0 for a
+    /// childless, deleted or unknown id).
+    pub fn list_len(&self, id: ItemId) -> usize {
+        self.nodes.get(id.0).map_or(0, |n| n.children.len())
+    }
+}
+
+impl<T, M> Levelled<T> for ReferenceNet<T, M> {
+    fn root(&self) -> Option<usize> {
+        self.root
+    }
+
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn node(&self, n: usize) -> hierarchy::Node<'_, T> {
+        let node = &self.nodes[n];
+        hierarchy::Node {
+            item: &self.items[n],
+            level: node.level,
+            children: &node.children,
+            parents: &node.parents,
+            reach: node.reach,
+            list: node.list,
+        }
+    }
+
+    fn alive(&self, n: usize) -> bool {
+        self.nodes[n].alive
+    }
+
+    fn by_level(&self) -> &BTreeMap<i32, Vec<usize>> {
+        &self.by_level
+    }
+
+    fn radius(&self, level: i32) -> f64 {
+        self.config.epsilon_prime * f64::powi(2.0, level)
     }
 }
 
@@ -787,65 +690,18 @@ impl<T: Send + Sync, M: Metric<T>> RangeIndex<T> for ReferenceNet<T, M> {
         }
     }
 
-    /// Algorithm 3 for every lane at once: references are visited level by
-    /// level from the top, a reference is probed once for all the lanes that
-    /// have not decided it, and each of those lanes takes its own decisions
-    /// from its own distance.
-    fn family_query<P>(&self, lanes: usize, radius: f64, mut probe: P, scratch: &mut FamilyScratch)
+    /// Algorithm 3 for every lane at once, as a frontier walk from the root
+    /// (the `hierarchy` module): a reference is probed once for all the lanes
+    /// that have not decided it, and each of those lanes takes its own
+    /// decisions from its own distance. Per Lemma 4, a reference farther
+    /// than `radius + reach` excludes everything derived from it, so the
+    /// probe is cut off there and the `∞` it reports prunes the lot; a
+    /// childless reference (reach 0) is probed at the query radius itself.
+    fn family_query<P>(&self, lanes: usize, radius: f64, probe: P, scratch: &mut FamilyScratch)
     where
         P: FnMut(&T, f64, &mut [f64]),
     {
-        let nodes = self.nodes.len();
-        scratch.reset(lanes, nodes);
-        scratch.swept.clear();
-        scratch.swept.resize(lanes * nodes, false);
-        for ids in self.by_level.values().rev() {
-            for &n in ids {
-                let node = &self.nodes[n];
-                if !node.alive {
-                    continue;
-                }
-                if !undecided(&scratch.decided, lanes, nodes, n) {
-                    continue;
-                }
-                // Per Lemma 4, a reference farther than radius + reach
-                // excludes everything derived from it, so no decision below
-                // needs the exact distance beyond that threshold — pass it
-                // to the probe and let a threshold-aware kernel abandon
-                // early; the `∞` it reports instead prunes the reference and
-                // everything derived from it. A childless reference has
-                // reach 0: it is probed at the query radius itself.
-                probe(&self.items[n], radius + node.reach, &mut scratch.dists);
-                for lane in 0..lanes {
-                    let of_lane = lane * nodes..(lane + 1) * nodes;
-                    let mut state = Decisions {
-                        decided: &mut scratch.decided[of_lane.clone()],
-                        swept: &mut scratch.swept[of_lane],
-                        stack: &mut scratch.stack,
-                    };
-                    if state.decided[n].is_some() {
-                        continue;
-                    }
-                    let d = scratch.dists[lane];
-                    state.decided[n] = Some(d <= radius);
-                    if d + node.reach <= radius {
-                        self.mark_descendants(n, true, &mut state);
-                    } else if d + node.list <= radius {
-                        for &c in &node.children {
-                            state.decide(c, true);
-                        }
-                    }
-                    if d - node.reach > radius {
-                        self.mark_descendants(n, false, &mut state);
-                    } else if d - node.list > radius {
-                        for &c in &node.children {
-                            state.decide(c, false);
-                        }
-                    }
-                }
-            }
-        }
-        scratch.collect_hits(nodes, |i| self.nodes[i].alive);
+        self.family_walk(lanes, radius, probe, scratch);
     }
 
     fn space_stats(&self) -> SpaceStats {
@@ -901,9 +757,7 @@ impl Decode for Node {
 impl<T, M> ReferenceNet<T, M> {
     /// Encodes the hierarchy bookkeeping — everything except the items and
     /// the metric. The `by_level` buckets are stored verbatim (not rebuilt
-    /// from the nodes) because their *within-level order* determines the
-    /// order range queries visit references, and therefore the per-query
-    /// distance-call counts a loaded net must reproduce bit-identically.
+    /// from the nodes), so a loaded net encodes to the very same bytes.
     fn encode_structure(&self, w: &mut ssr_storage::Writer) {
         w.put_f64(self.config.epsilon_prime);
         self.config.max_parents.encode(w);
@@ -959,46 +813,8 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
                 items.len()
             )));
         }
-        let in_range = |idx: &usize| *idx < nodes.len();
-        if !nodes
-            .iter()
-            .all(|n| n.parents.iter().all(in_range) && n.children.iter().all(in_range))
-        {
-            return Err(StorageError::Malformed(
-                "reference net edge index out of range".into(),
-            ));
-        }
-        // Bulk decisions walk down the child lists and bound maintenance
-        // walks up the parent lists; strictly monotone levels are what makes
-        // both walks end.
-        if !nodes.iter().all(|n| {
-            n.parents.iter().all(|&p| nodes[p].level > n.level)
-                && n.children.iter().all(|&c| nodes[c].level < n.level)
-        }) {
-            return Err(StorageError::Malformed(
-                "reference net edge does not descend a level".into(),
-            ));
-        }
-        let levels = Vec::<(i32, Vec<usize>)>::decode(r)?;
-        let mut by_level = BTreeMap::new();
-        for (level, ids) in levels {
-            if !ids.iter().all(in_range) {
-                return Err(StorageError::Malformed(
-                    "reference net level bucket index out of range".into(),
-                ));
-            }
-            if by_level.insert(level, ids).is_some() {
-                return Err(StorageError::Malformed(format!(
-                    "duplicate reference net level {level}"
-                )));
-            }
-        }
+        let by_level = hierarchy::decode_levels(r, nodes.len())?;
         let root = Option::<usize>::decode(r)?;
-        if root.is_some_and(|root| root >= nodes.len()) {
-            return Err(StorageError::Malformed(
-                "reference net root out of range".into(),
-            ));
-        }
         let live_count = r.take_usize()?;
         if live_count != nodes.iter().filter(|n| n.alive).count() {
             return Err(StorageError::Malformed(
@@ -1019,6 +835,7 @@ impl<T: Decode + Send + Sync, M: Metric<T>> DecodeWith<M> for ReferenceNet<T, M>
             build_threads: 1,
             marks: Marks::default(),
         };
+        net.check_decoded()?;
         net.recompute_bounds();
         Ok(net)
     }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::hierarchy::Slots;
 use crate::metric::Metric;
 
 /// Identifier of an item stored in an index.
@@ -75,23 +76,21 @@ impl SpaceStats {
     }
 }
 
-/// Reusable state of [`RangeIndex::family_query`]: the per-lane decisions,
-/// the walk stack, the probe's output slots and the hit list. A caller that
+/// Reusable state of [`RangeIndex::family_query`]: the probe's output slots,
+/// the hit list and the metric trees' per-node walk state. A caller that
 /// runs many family queries — the framework runs one per query offset —
 /// keeps one scratch and every query after the first allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct FamilyScratch {
-    /// Lane-major: the decision of lane `l` on node `n` is at `l·nodes + n`;
-    /// `Some(in_result)` once decided, and the first decision stands.
-    pub(crate) decided: Vec<Option<bool>>,
-    /// Lane-major like `decided` (Reference Net only): nodes whose derived
-    /// references this lane has all decided.
-    pub(crate) swept: Vec<bool>,
-    pub(crate) stack: Vec<usize>,
     /// The probe's output, one slot per lane (MV-Reference keeps one more
     /// row of them per pivot behind it).
     pub(crate) dists: Vec<f64>,
-    hits: Vec<(usize, ItemId)>,
+    pub(crate) hits: Vec<(usize, ItemId)>,
+    /// A work list: the nodes a tree's subtree enumeration has yet to
+    /// enter, or MV-Reference's undecided lanes of one item.
+    pub(crate) stack: Vec<usize>,
+    pub(crate) touched: usize,
+    pub(crate) slots: Slots,
 }
 
 impl FamilyScratch {
@@ -101,32 +100,27 @@ impl FamilyScratch {
         &self.hits
     }
 
-    /// Clears the state for a query of `lanes` lanes over `nodes` nodes.
-    pub(crate) fn reset(&mut self, lanes: usize, nodes: usize) {
+    /// How many nodes the last family query read or wrote state for: the
+    /// node slots a tree walk touched, each once, or every item of a linear
+    /// pass. A tree walk touches the nodes it probes, the children they push
+    /// to and the nodes it accepts, never an excluded subtree.
+    pub fn touched(&self) -> usize {
+        self.touched
+    }
+
+    /// Clears the output for a query of `lanes` lanes.
+    pub(crate) fn begin(&mut self, lanes: usize) {
         assert!(lanes > 0, "a family has at least one lane");
-        self.decided.clear();
-        self.decided.resize(lanes * nodes, None);
         self.dists.clear();
         self.dists.resize(lanes, f64::INFINITY);
         self.hits.clear();
+        self.touched = 0;
     }
 
-    /// Fills the hit list from the decisions, skipping nodes that are not
-    /// `live`.
-    pub(crate) fn collect_hits(&mut self, nodes: usize, live: impl Fn(usize) -> bool) {
-        let accepted = self.decided.iter().enumerate();
-        self.hits.extend(
-            accepted
-                .filter(|&(at, d)| *d == Some(true) && live(at % nodes))
-                .map(|(at, _)| (at / nodes, ItemId(at % nodes))),
-        );
+    /// Ends a query that found its hits in any order.
+    pub(crate) fn finish(&mut self) {
+        self.hits.sort_unstable();
     }
-}
-
-/// Whether some lane has not decided `node` in the lane-major `decided`, so
-/// that a family query still has to visit it.
-pub(crate) fn undecided(decided: &[Option<bool>], lanes: usize, nodes: usize, node: usize) -> bool {
-    (0..lanes).any(|lane| decided[lane * nodes + node].is_none())
 }
 
 /// An index answering range similarity queries `{ x : δ(q, x) ≤ radius }`.
@@ -177,6 +171,11 @@ pub trait RangeIndex<T> {
     /// need it; the slots of lanes that had decided it already are ignored.
     /// The hits are left in `scratch` ([`FamilyScratch::hits`]).
     /// [`Self::range_query`] is the one-lane case.
+    ///
+    /// A probe costs what it visits: the trees touch the nodes they probe,
+    /// the children those push to and the nodes they accept, and never a
+    /// subtree every lane has excluded ([`FamilyScratch::touched`]); the
+    /// linear scan and MV-Reference's pivot table read every item.
     fn family_query<P>(&self, lanes: usize, radius: f64, probe: P, scratch: &mut FamilyScratch)
     where
         P: FnMut(&T, f64, &mut [f64]);

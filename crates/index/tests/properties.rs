@@ -174,7 +174,11 @@ proptest! {
         radius in 0.0f64..40.0,
         cap in prop::option::of(1usize..4),
         delete_every in 2usize..9,
+        wide in any::<bool>(),
     ) {
+        // A wide family has more lanes than one mask word holds.
+        let lanes = if wide { 65 + queries.len() } else { queries.len() };
+        let queries: Vec<f64> = queries.iter().copied().cycle().take(lanes).collect();
         let counter = CallCounter::new();
         let counted = || CountingMetric::new(scalar_metric(), counter.clone());
 
@@ -371,4 +375,96 @@ proptest! {
             idx
         });
     }
+}
+
+/// A 2-D point carrying its insertion index, which is its item id.
+type Point = (usize, [f64; 2]);
+
+type PlaneMetric = FnMetric<fn(&Point, &Point) -> f64>;
+
+fn plane_metric() -> PlaneMetric {
+    FnMetric(|a: &Point, b: &Point| (a.1[0] - b.1[0]).hypot(a.1[1] - b.1[1]))
+}
+
+/// `count` points, uniform in [0, 1000)², from a SplitMix64 stream.
+fn uniform_points(count: usize, seed: u64) -> Vec<[f64; 2]> {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| [1000.0 * unit(), 1000.0 * unit()])
+        .collect()
+}
+
+/// A family query at a selective radius over 20 K points, whose lane `l`
+/// asks for the query point moved `l` to the right, must touch no more
+/// node slots than `C` times what it visits: the nodes it probes, the
+/// children they have (the walk pushes to them), and its hits (a
+/// reach-accept enumerates them). A walk that reads every node, or enters
+/// a subtree every lane has excluded, touches thousands of times that.
+fn walk_touches_what_it_visits<I: RangeIndex<Point>>(
+    index: &I,
+    list_len: impl Fn(ItemId) -> usize,
+    scan: &LinearScan<Point, PlaneMetric>,
+    queries: &[[f64; 2]],
+) {
+    // Every touched slot is the root, a child some visited node pushed to,
+    // or a hit. A visited node that is not probed is a child of a probed
+    // one, which has decided it for every lane, and its children are not
+    // counted here; on these points the walks touch 0.14–0.39 of the bound.
+    const C: usize = 1;
+    const LANES: usize = 5;
+    const RADIUS: f64 = 5.0;
+    let lane_distances = |q: &[f64; 2], item: &Point, tau: f64, out: &mut [f64]| {
+        for (lane, slot) in out.iter_mut().enumerate() {
+            let at = (0, [q[0] + lane as f64, q[1]]);
+            *slot = plane_metric()
+                .dist_within(&at, item, tau)
+                .unwrap_or(f64::INFINITY);
+        }
+    };
+    let (mut scratch, mut expected) = (FamilyScratch::default(), FamilyScratch::default());
+    for q in queries {
+        let (mut calls, mut children) = (0, 0);
+        let probe = |item: &Point, tau, out: &mut [f64]| {
+            calls += 1;
+            children += list_len(ItemId(item.0));
+            lane_distances(q, item, tau, out);
+        };
+        index.family_query(LANES, RADIUS, probe, &mut scratch);
+        scan.family_query(
+            LANES,
+            RADIUS,
+            |item, tau, out| lane_distances(q, item, tau, out),
+            &mut expected,
+        );
+        assert_eq!(scratch.hits(), expected.hits());
+        let visited = calls + children + scratch.hits().len();
+        assert!(
+            scratch.touched() <= C * visited,
+            "{} slots touched for {calls} probes, {children} children and {} hits",
+            scratch.touched(),
+            scratch.hits().len()
+        );
+    }
+}
+
+#[test]
+fn tree_walks_touch_only_what_they_visit() {
+    let points = uniform_points(20_000, 42);
+    let items = || points.iter().copied().enumerate();
+    let queries = uniform_points(20, 7);
+    let mut scan = LinearScan::new(plane_metric());
+    scan.extend(items());
+    let mut net = ReferenceNet::new(plane_metric());
+    net.extend(items());
+    walk_touches_what_it_visits(&net, |id| net.list_len(id), &scan, &queries);
+    let mut tree = CoverTree::new(plane_metric());
+    tree.extend(items());
+    walk_touches_what_it_visits(&tree, |id| tree.list_len(id), &scan, &queries);
 }

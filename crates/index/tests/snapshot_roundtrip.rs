@@ -190,4 +190,33 @@ fn structurally_invalid_payloads_yield_malformed_errors() {
         .err()
         .expect("a parent cycle must be rejected");
     assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+
+    // A query walks down from the root and visits a node once every
+    // parent it counts has pushed to it. An edge its parent does not list
+    // (or a listing the child does not count) would hide the node from
+    // every query, so the snapshot is malformed. Root 0 at level 1, node 1
+    // at level 0, the edge 0 -> 1 on one side only.
+    for (parents_of_1, children_of_0) in [(vec![0usize], vec![]), (vec![], vec![1usize])] {
+        let mut w = Writer::new();
+        vec![1.0f64, 2.0].encode(&mut w); // items
+        w.put_f64(1.0); // epsilon_prime
+        Option::<usize>::None.encode(&mut w); // max_parents
+        w.put_usize(2); // two nodes
+        w.put_i32(1);
+        Vec::<usize>::new().encode(&mut w);
+        children_of_0.encode(&mut w);
+        w.put_bool(true);
+        w.put_i32(0);
+        parents_of_1.encode(&mut w);
+        Vec::<usize>::new().encode(&mut w);
+        w.put_bool(true);
+        vec![(0i32, vec![1usize]), (1, vec![0])].encode(&mut w); // by_level
+        Some(0usize).encode(&mut w); // root
+        w.put_usize(2); // live_count
+        let (metric, _) = counted_metric();
+        let err = ReferenceNet::<f64, _>::decode_with(&mut Reader::new(w.bytes()), metric)
+            .err()
+            .expect("a one-sided edge must be rejected");
+        assert!(matches!(err, StorageError::Malformed(_)), "{err:?}");
+    }
 }

@@ -141,8 +141,8 @@ struct HistogramCore {
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    /// A histogram not attached to any registry — what the bench load
-    /// generator bins its client-side latencies into.
+    /// A histogram not attached to any registry (for local aggregation,
+    /// e.g. a test's own latencies).
     pub fn standalone() -> Self {
         Histogram(Arc::new(HistogramCore {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -187,13 +187,6 @@ impl HistogramSnapshot {
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// The buckets with trailing zero buckets dropped (at least one bucket
-    /// is kept) — the compact form the bench JSON report stores.
-    pub fn trimmed_counts(&self) -> Vec<u64> {
-        let last = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        self.counts[..=last].to_vec()
     }
 
     /// Lower edge (see [`bucket_lower_edge`]) of the bucket holding the
@@ -509,15 +502,5 @@ mod tests {
             .snapshot()
             .percentile_lower_edge(0.99)
             .is_none());
-    }
-
-    #[test]
-    fn trimmed_counts_drop_trailing_zeroes_only() {
-        let h = Histogram::standalone();
-        h.observe(0);
-        h.observe(5);
-        let trimmed = h.snapshot().trimmed_counts();
-        assert_eq!(trimmed, vec![1, 0, 0, 1]);
-        assert_eq!(Histogram::standalone().snapshot().trimmed_counts(), vec![0]);
     }
 }
